@@ -93,6 +93,14 @@ void summarize(const perfbench::Workload& w, const char* phase,
       median(p.steal_per_second), perfbench::quantile(p.steal_per_second, 1.0),
       static_cast<unsigned long long>(p.attempted),
       static_cast<unsigned long long>(p.failed));
+  std::string refits;
+  char num[32];
+  for (const double s : p.fit_to_live_s) {
+    std::snprintf(num, sizeof num, " %.3f", s);
+    refits += num;
+  }
+  std::printf("perfbench: %s fit_to_live_s of each refit:%s\n", phase,
+              refits.c_str());
   report_failures(phase, p.failures);
 }
 
@@ -193,9 +201,11 @@ std::vector<Metric> per_layer(const perfbench::PhaseResult& plain,
   m.push_back({"io.snapshot_save_ms", median_of(rp.save_ms), "ms"});
   m.push_back({"io.snapshot_kb", median_of(rp.snapshot_kb), "KB"});
   m.push_back({"bench.client_cpu_share", plain.client_cpu_share, "1"});
+  // Both p50s over their own phase's quiet seconds, as eval_p50_ms is.
   std::optional<double> overhead;
   if (!plain.latency_s.empty() && !traced.latency_s.empty()) {
-    overhead = median(traced.latency_s) / median(plain.latency_s);
+    overhead = perfbench::summarize_evals(traced).p50_ms /
+               perfbench::summarize_evals(plain).p50_ms;
   }
   m.push_back({"obs.trace_overhead", overhead, "1"});
   return m;
@@ -269,8 +279,9 @@ int main(int argc, char** argv) {
       perfbench::ReplayResult rp =
           perfbench::replay(w, fleet, checker, run_dir);
       report_failures("replay", rp.failures);
-      std::printf("perfbench: replay: %zu requests, %zu refits\n",
-                  rp.engine_us.size(), rp.fit_s.size());
+      std::printf(
+          "perfbench: replay: %zu requests, %zu refits, %zu fit pairs\n",
+          rp.engine_us.size(), rp.order.size(), rp.fit_s.size());
       std::vector<perfbench::SpanLog> spans = std::move(traced.spans);
       spans.push_back(std::move(rp.spans));
       const std::string trace_dir = fs::absolute(work_root).string() +

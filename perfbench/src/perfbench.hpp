@@ -9,8 +9,8 @@
 /// `VerificationPolicy::verify`, snapshot save, `ModelRegistry`,
 /// `ServingEngine::evaluate(EvalRequest)`, `net::Json` / `parse_json` /
 /// `HttpRequestParser`, `ss::transfer_function`, `netgen` and `sampling`.
-/// Its HTTP client is its own, so nothing here depends on the library's
-/// client-side helpers.
+/// Its HTTP client is a thin loop over the library's `net::Socket` and
+/// HTTP message layer.
 
 #pragma once
 
@@ -24,6 +24,8 @@
 #include <vector>
 
 #include "core/mfti.hpp"
+#include "net/http.hpp"
+#include "net/socket.hpp"
 #include "sampling/dataset.hpp"
 #include "serving/verification.hpp"
 #include "statespace/descriptor.hpp"
@@ -82,35 +84,29 @@ void write_spans(const std::string& path, const std::vector<SpanLog>& logs);
 
 // --- HTTP ------------------------------------------------------------------
 
-/// One keep-alive connection to the server. The client is deliberately
-/// minimal (Content-Length bodies only, which is all the server sends).
+/// One keep-alive loopback connection to the server, on the library's
+/// `net::Socket` and `net::HttpResponseParser`.
 class HttpConn {
  public:
-  HttpConn() = default;
-  ~HttpConn() { close(); }
-  HttpConn(const HttpConn&) = delete;
-  HttpConn& operator=(const HttpConn&) = delete;
-
   bool connect(int port);
-  void close();
 
-  /// Send the raw request bytes and read one whole response. `sent` and
-  /// `done` receive the clock at the first write and at the last response
-  /// byte. False on a transport error (the connection is then closed and
-  /// reopened by the next call).
-  bool roundtrip(std::string_view request, int* status, std::string* body,
+  /// Send the serialized request and read one whole response. `sent` and
+  /// `done` receive the clock before the first write and at the read that
+  /// completes the response. False on a transport or framing error (the
+  /// connection is then closed and reopened by the next call).
+  bool roundtrip(std::string_view request, mfti::net::HttpResponse* response,
                  double* sent = nullptr, double* done = nullptr);
 
  private:
-  int fd_ = -1;
+  mfti::net::Socket socket_;
   int port_ = 0;
-  std::string buffer_;
 };
 
-/// Raw HTTP/1.1 request bytes.
-std::string http_request(std::string_view method, std::string_view target,
-                         std::string_view body,
-                         const std::vector<std::string>& extra_headers = {});
+/// `net::serialize_request` of a request to the loopback server; a body
+/// is sent as JSON.
+std::string http_request(std::string method, std::string target,
+                         std::string body,
+                         std::map<std::string, std::string> headers = {});
 
 /// `{"requests":[{"model":..., "freqs_hz":[...]}]}` with `%.17g` numbers.
 std::string eval_body(const std::string& model,

@@ -3,6 +3,7 @@
 
 #include <filesystem>
 #include <memory>
+#include <optional>
 
 #include "api/api.hpp"
 #include "io/snapshot.hpp"
@@ -28,6 +29,8 @@ constexpr std::size_t kMaxReplayRequests = 4000;
 constexpr double kReplayRequestSeconds = 4.0;
 /// Refits replayed (the first ones of the workload's noise-seed stream).
 constexpr std::size_t kReplayRefits = 3;
+/// Timed pairs of `api::Fitter::fit` and the traced split per refit.
+constexpr std::size_t kFitPairs = 2;
 /// Replayed responses also run through the output check.
 constexpr std::size_t kCheckedReplays = 8;
 
@@ -137,31 +140,62 @@ ReplayResult replay(const Workload& w, const Fleet& fleet,
     const std::uint64_t id = (1ULL << 62) | k;
     const int root = out.spans.begin("replay.refit", id);
 
-    int span = out.spans.begin("api.fit", id, root);
-    auto fit = api::Fitter().fit(samples, api::MftiStrategy{pdn_fit_options()});
-    out.spans.end(span);
-    const double fit_s = out.spans.seconds(span);
+    std::optional<api::FitReport> fit;
+    double fit_s = 0.0;
+    const auto run_facade = [&] {
+      const int span = out.spans.begin("api.fit", id, root);
+      auto report =
+          api::Fitter().fit(samples, api::MftiStrategy{pdn_fit_options()});
+      out.spans.end(span);
+      fit_s = out.spans.seconds(span);
+      if (report) {
+        fit = std::move(*report);
+      } else {
+        fit.reset();
+        fail("replayed fit failed: " + report.status().to_string());
+      }
+    };
+    SplitFit split;
+    const auto run_split = [&] {
+      const int span = out.spans.begin("fit.split", id, root);
+      split = split_fit(samples, pdn_fit_options());
+      out.spans.end(span);
+      const double t0 = out.spans.spans()[span].start;
+      const double t1 = t0 + split.tangential_s;
+      const double t2 = t1 + split.assembly_s;
+      out.spans.add("loewner.tangential", id, span, t0, t1);
+      out.spans.add("loewner.assembly", id, span, t1, t2);
+      out.spans.add("loewner.realize", id, span, t2, t2 + split.realize_s);
+    };
+    // The facade and the split in pairs, each pair in the other order:
+    // the residue is the median of the paired differences, so a drift of
+    // the host's speed between two fits cancels out of it.
+    for (std::size_t pair = 0; pair < kFitPairs; ++pair) {
+      if (pair % 2 == 0) {
+        run_facade();
+        run_split();
+      } else {
+        run_split();
+        run_facade();
+      }
+      if (!fit) break;
+      if (!(split.model == fit->model)) {
+        fail("traced split fit differs from api::Fitter::fit");
+      }
+      out.fit_s.push_back(fit_s);
+      out.tangential_ms.push_back(split.tangential_s * 1e3);
+      out.assembly_ms.push_back(split.assembly_s * 1e3);
+      out.realize_ms.push_back(split.realize_s * 1e3);
+      out.fit_residue_ms.push_back(
+          (fit_s - split.tangential_s - split.assembly_s - split.realize_s) *
+          1e3);
+    }
     if (!fit) {
       out.spans.end(root);
-      fail("replayed fit failed: " + fit.status().to_string());
       continue;
     }
 
-    span = out.spans.begin("fit.split", id, root);
-    const SplitFit split = split_fit(samples, pdn_fit_options());
-    out.spans.end(span);
-    const double t = out.spans.spans()[span].start;
-    out.spans.add("loewner.tangential", id, span, t, t + split.tangential_s);
-    out.spans.add("loewner.assembly", id, span, t + split.tangential_s,
-                  t + split.tangential_s + split.assembly_s);
-    out.spans.add("loewner.realize", id, span,
-                  t + split.tangential_s + split.assembly_s,
-                  t + split.tangential_s + split.assembly_s + split.realize_s);
-    if (!(split.model == fit->model)) {
-      fail("traced split fit differs from api::Fitter::fit");
-    }
-
-    span = out.spans.begin("serving.verify", id, root);
+    int span = out.spans.begin("serving.verify", id, root);
     const serving::VerificationReport report = gate.verify(split.model);
     out.spans.end(span);
     out.verify_ms.push_back(out.spans.seconds(span) * 1e3);
@@ -180,14 +214,6 @@ ReplayResult replay(const Workload& w, const Fleet& fleet,
       out.snapshot_kb.push_back(static_cast<double>(fs::file_size(snapshot)) /
                                 1024.0);
     }
-
-    const double loewner_s =
-        split.tangential_s + split.assembly_s + split.realize_s;
-    out.fit_s.push_back(fit_s);
-    out.tangential_ms.push_back(split.tangential_s * 1e3);
-    out.assembly_ms.push_back(split.assembly_s * 1e3);
-    out.realize_ms.push_back(split.realize_s * 1e3);
-    out.fit_residue_ms.push_back((fit_s - loewner_s) * 1e3);
     out.order.push_back(static_cast<double>(fit->order));
   }
   return out;

@@ -1,18 +1,9 @@
-// Statistics, spans and the benchmark's own HTTP client.
-
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
+// Statistics, spans and the benchmark's HTTP client.
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "net/json.hpp"
 #include "perfbench.hpp"
@@ -94,135 +85,61 @@ void write_spans(const std::string& path, const std::vector<SpanLog>& logs) {
 
 // --- HTTP client -----------------------------------------------------------
 
-bool HttpConn::connect(int port) {
-  close();
-  port_ = port;
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) return false;
-  const int one = 1;
-  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  // A stalled server must not hang the benchmark past its own deadline.
-  timeval tv{};
-  tv.tv_sec = 30;
-  ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-  ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
-      0) {
-    close();
-    return false;
-  }
-  return true;
-}
-
-void HttpConn::close() {
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = -1;
-  buffer_.clear();
-}
-
 namespace {
 
-/// Case-insensitive search for a header line `name:` in the head block.
-std::string_view header_value(std::string_view head, std::string_view name) {
-  std::size_t pos = 0;
-  while (pos < head.size()) {
-    std::size_t eol = head.find("\r\n", pos);
-    if (eol == std::string_view::npos) eol = head.size();
-    const std::string_view line = head.substr(pos, eol - pos);
-    if (line.size() > name.size() && line[name.size()] == ':') {
-      bool match = true;
-      for (std::size_t i = 0; i < name.size() && match; ++i) {
-        match = std::tolower(static_cast<unsigned char>(line[i])) == name[i];
-      }
-      if (match) {
-        std::string_view v = line.substr(name.size() + 1);
-        while (!v.empty() && (v.front() == ' ' || v.front() == '\t')) {
-          v.remove_prefix(1);
-        }
-        return v;
-      }
-    }
-    pos = eol + 2;
-  }
-  return {};
-}
+/// A stalled server must not hang the benchmark past its own deadline.
+constexpr int kSocketTimeoutMs = 30000;
 
 }  // namespace
 
-bool HttpConn::roundtrip(std::string_view request, int* status,
-                         std::string* body, double* sent, double* done) {
-  if (fd_ < 0 && !connect(port_)) return false;
-  buffer_.clear();
-  if (sent != nullptr) *sent = now_s();
-  std::size_t off = 0;
-  while (off < request.size()) {
-    const ssize_t n = ::send(fd_, request.data() + off, request.size() - off,
-                             MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      close();
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  char chunk[1 << 16];
-  std::size_t head_end = std::string::npos;
-  std::size_t need = 0;
-  bool close_after = false;
-  for (;;) {
-    if (head_end == std::string::npos) {
-      head_end = buffer_.find("\r\n\r\n");
-      if (head_end != std::string::npos) {
-        const std::string_view head(buffer_.data(), head_end);
-        if (head.size() < 12 || head.substr(0, 5) != "HTTP/") {
-          close();
-          return false;
-        }
-        *status = std::atoi(buffer_.c_str() + 9);
-        const std::string_view length = header_value(head, "content-length");
-        if (length.empty()) {
-          close();
-          return false;
-        }
-        need = head_end + 4 +
-               static_cast<std::size_t>(
-                   std::strtoull(std::string(length).c_str(), nullptr, 10));
-        close_after = header_value(head, "connection") == "close";
-      }
-    }
-    if (head_end != std::string::npos && buffer_.size() >= need) break;
-    const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      close();
-      return false;
-    }
-    buffer_.append(chunk, static_cast<std::size_t>(n));
-  }
-  if (done != nullptr) *done = now_s();
-  body->assign(buffer_, head_end + 4, need - head_end - 4);
-  buffer_.clear();
-  if (close_after) close();
+bool HttpConn::connect(int port) {
+  port_ = port;
+  auto socket = mfti::net::Socket::connect("127.0.0.1", port, kSocketTimeoutMs);
+  if (!socket) return false;
+  socket_ = std::move(*socket);
   return true;
 }
 
-std::string http_request(std::string_view method, std::string_view target,
-                         std::string_view body,
-                         const std::vector<std::string>& extra_headers) {
-  std::string out;
-  out.reserve(body.size() + 256);
-  out.append(method).append(" ").append(target).append(" HTTP/1.1\r\n");
-  out.append("Host: 127.0.0.1\r\n");
-  if (!body.empty()) out.append("Content-Type: application/json\r\n");
-  out.append("Content-Length: ").append(std::to_string(body.size()));
-  out.append("\r\n");
-  for (const std::string& h : extra_headers) out.append(h).append("\r\n");
-  out.append("\r\n").append(body);
-  return out;
+bool HttpConn::roundtrip(std::string_view request,
+                         mfti::net::HttpResponse* response, double* sent,
+                         double* done) {
+  using State = mfti::net::HttpResponseParser::State;
+  if (!socket_.valid() && !connect(port_)) return false;
+  if (sent != nullptr) *sent = now_s();
+  if (!socket_.write_all(request, kSocketTimeoutMs).is_ok()) {
+    socket_.close();
+    return false;
+  }
+  mfti::net::HttpResponseParser parser;
+  std::string chunk;
+  while (parser.state() == State::NeedMore) {
+    chunk.clear();
+    if (socket_.read_some(&chunk, kSocketTimeoutMs) <= 0) {
+      socket_.close();
+      return false;
+    }
+    parser.feed(chunk);
+  }
+  if (done != nullptr) *done = now_s();
+  if (parser.state() == State::Error) {
+    socket_.close();
+    return false;
+  }
+  *response = parser.response();
+  if (response->header("connection") == "close") socket_.close();
+  return true;
+}
+
+std::string http_request(std::string method, std::string target,
+                         std::string body,
+                         std::map<std::string, std::string> headers) {
+  mfti::net::HttpRequest request;
+  request.method = std::move(method);
+  request.target = std::move(target);
+  if (!body.empty()) headers["Content-Type"] = "application/json";
+  request.headers = std::move(headers);
+  request.body = std::move(body);
+  return mfti::net::serialize_request(request);
 }
 
 std::string eval_body(const std::string& model,

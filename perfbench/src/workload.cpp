@@ -25,17 +25,22 @@ namespace perfbench {
 namespace fs = std::filesystem;
 namespace api = mfti::api;
 namespace io = mfti::io;
+using mfti::net::HttpResponse;
 using mfti::net::Json;
 
 namespace {
 
 /// Server spawns per phase; set-up time is their median.
-constexpr std::size_t kSetupSpawns = 7;
+constexpr std::size_t kSetupSpawns = 15;
 /// Decoded responses kept per connection for the reference check.
 constexpr std::size_t kReservoir = 24;
 /// Client spans kept per connection in the traced phase.
 constexpr std::size_t kMaxEvalSpans = 20000;
 constexpr std::size_t kMaxReasons = 8;
+/// A second is quiet when the hypervisor stole less than this share of
+/// the CPU time the guest wanted: at most a few jiffies, which a host
+/// with neighbours shows in most seconds.
+constexpr double kQuietSteal = 0.01;
 
 std::uint64_t splitmix64(std::uint64_t* state) {
   std::uint64_t z = (*state += 0x9E3779B97F4A7C15ULL);
@@ -68,23 +73,28 @@ double cpu_seconds() {
          1e-6 * static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec);
 }
 
-/// Steal and total jiffies of all CPUs, from the first line of /proc/stat.
-std::pair<double, double> steal_and_total() {
+/// Steal jiffies of all CPUs, and the jiffies the guest wanted to run:
+/// user, nice, system, irq, softirq and steal, never idle or iowait. From
+/// the first line of /proc/stat.
+std::pair<double, double> steal_and_wanted() {
   std::ifstream in("/proc/stat");
   std::string cpu;
   in >> cpu;
-  double total = 0.0;
+  double wanted = 0.0;
   double steal = 0.0;
   for (int i = 0; i < 8; ++i) {
     double v = 0.0;
     if (!(in >> v)) break;
-    total += v;
+    if (i != 3 && i != 4) wanted += v;  // 3 idle, 4 iowait
     if (i == 7) steal = v;
   }
-  return {steal, total};
+  return {steal, wanted};
 }
 
-/// Share of all CPU time stolen between two `steal_and_total` readings.
+/// Share of the time the guest wanted to run that the hypervisor gave to
+/// other guests, between two `steal_and_wanted` readings. Idle time is
+/// left out, so a second in which the benchmark works harder does not
+/// read as quieter or noisier for that alone.
 double steal_share(const std::pair<double, double>& from,
                    const std::pair<double, double>& to) {
   return (to.first - from.first) / std::max(1.0, to.second - from.second);
@@ -139,13 +149,13 @@ std::string_view timings_object(std::string_view body) {
 std::map<std::string, double> scrape_metrics(int port) {
   std::map<std::string, double> out;
   HttpConn conn;
-  int status = 0;
-  std::string body;
+  HttpResponse response;
   if (!conn.connect(port) ||
-      !conn.roundtrip(http_request("GET", "/metrics", ""), &status, &body) ||
-      status != 200) {
+      !conn.roundtrip(http_request("GET", "/metrics", ""), &response) ||
+      response.status != 200) {
     return out;
   }
+  const std::string& body = response.body;
   std::size_t pos = 0;
   while (pos < body.size()) {
     std::size_t eol = body.find('\n', pos);
@@ -189,17 +199,17 @@ std::string run_refit(int port, std::uint64_t noise_seed,
   std::string body = "{\"name\":\"pdn\",\"snapshot\":";
   mfti::net::json_escape(snapshot, &body);
   body.push_back('}');
-  int status = 0;
-  std::string reply;
-  if (!conn.roundtrip(
-          http_request("POST", "/v1/admin/publish", body,
-                       {std::string("X-Admin-Token: ") + kAdminToken}),
-          &status, &reply)) {
+  HttpResponse reply;
+  if (!conn.roundtrip(http_request("POST", "/v1/admin/publish", body,
+                                   {{"X-Admin-Token", kAdminToken}}),
+                      &reply)) {
     return "publish: transport error";
   }
   const double t3 = now_s();
-  if (status != 200) return "publish answered " + std::to_string(status);
-  auto parsed = mfti::net::parse_json(reply);
+  if (reply.status != 200) {
+    return "publish answered " + std::to_string(reply.status);
+  }
+  auto parsed = mfti::net::parse_json(reply.body);
   if (!parsed || parsed->find("version") == nullptr) {
     return "publish reply is not the expected JSON";
   }
@@ -213,10 +223,11 @@ std::string run_refit(int port, std::uint64_t noise_seed,
   const std::string probe =
       http_request("POST", "/v1/eval", eval_body(pdn.name, pdn.grid));
   for (;;) {
-    if (!conn.roundtrip(probe, &status, &reply) || status != 200) {
+    if (!conn.roundtrip(probe, &reply) || reply.status != 200) {
       return "live check failed";
     }
-    const long seen = quick_check(reply, pdn.grid.size(), pdn.ports, pdn.ports);
+    const long seen =
+        quick_check(reply.body, pdn.grid.size(), pdn.ports, pdn.ports);
     if (seen < 0) return "live check: malformed response";
     if (static_cast<std::uint64_t>(seen) >= version) break;
     if (now_s() - t3 > 30.0) return "new version never went live";
@@ -269,24 +280,24 @@ void reader_loop(std::size_t c, const Workload& w, Traffic& traffic, int port,
     return;
   }
   std::uint64_t pick = stream_seed(w.seed ^ 0x5A5A5A5AULL, c);
-  std::string body;
+  HttpResponse response;
   for (std::uint64_t k = 0; !stop.load(std::memory_order_relaxed); ++k) {
     const EvalCall& call = traffic.next(c, k);
-    int status = 0;
     double t0 = 0.0;
     double t1 = 0.0;
     ++r->tally.attempted;
-    if (!conn.roundtrip(call.raw, &status, &body, &t0, &t1)) {
+    if (!conn.roundtrip(call.raw, &response, &t0, &t1)) {
       r->tally.fail("transport error");
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
       continue;
     }
     r->latency.push_back(t1 - t0);
     r->done.push_back(t1);
-    if (status != 200) {
-      r->tally.fail("eval answered " + std::to_string(status));
+    if (response.status != 200) {
+      r->tally.fail("eval answered " + std::to_string(response.status));
       continue;
     }
+    const std::string& body = response.body;
     const std::size_t ports = call.model->ports;
     const long version = quick_check(body, call.freqs.size(), ports, ports);
     if (version < 0) {
@@ -369,9 +380,9 @@ Traffic::Traffic(const Workload& w, const Fleet& fleet, bool traced)
 }
 
 std::string Traffic::raw_for(const std::string& body) const {
-  std::vector<std::string> headers;
-  if (traced_) headers.emplace_back("X-MFTI-Trace: 1");
-  return http_request("POST", "/v1/eval", body, headers);
+  std::map<std::string, std::string> headers;
+  if (traced_) headers["X-MFTI-Trace"] = "1";
+  return http_request("POST", "/v1/eval", body, std::move(headers));
 }
 
 const EvalCall& Traffic::next(std::size_t conn, std::uint64_t k) {
@@ -421,17 +432,21 @@ EvalSummary summarize_evals(const PhaseResult& p) {
       by_second[static_cast<std::size_t>(done)].push_back(p.latency_s[i]);
     }
   }
-  // The quietest quarter of the seconds, widened until it holds one chunk.
+  // Every quiet second; when those are fewer than a quarter of the window
+  // or hold less than one chunk, the next quietest ones, ties included.
   std::vector<std::size_t> order(seconds);
   for (std::size_t i = 0; i < seconds; ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
-                                                   std::size_t b) {
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return p.steal_per_second[a] < p.steal_per_second[b];
   });
   std::vector<std::size_t> chosen;
   std::size_t count = 0;
   for (const std::size_t s : order) {
-    if (chosen.size() >= (seconds + 3) / 4 && count >= kChunk) break;
+    const double steal = p.steal_per_second[s];
+    if (steal >= kQuietSteal && chosen.size() >= (seconds + 3) / 4 &&
+        count >= kChunk && steal > p.steal_per_second[chosen.back()]) {
+      break;
+    }
     chosen.push_back(s);
     count += by_second[s].size();
   }
@@ -478,7 +493,7 @@ PhaseResult run_phase(const Workload& w, const Fleet& fleet,
   // --- set-up: spawn, warm restart, first touch -----------------------------
   for (std::size_t i = 0; i < kSetupSpawns; ++i) {
     const std::vector<EvalCall> calls = traffic.first_touch();
-    std::vector<std::string> bodies(calls.size());
+    std::vector<HttpResponse> replies(calls.size());
     const double t0 = now_s();
     if (!server.start()) {
       throw std::runtime_error("mfti_serve did not start; see " + phase_dir +
@@ -486,20 +501,19 @@ PhaseResult run_phase(const Workload& w, const Fleet& fleet,
     }
     HttpConn conn;
     conn.connect(server.port());
-    std::vector<int> status(calls.size(), 0);
     std::vector<bool> ok(calls.size(), false);
     for (std::size_t m = 0; m < calls.size(); ++m) {
-      ok[m] = conn.roundtrip(calls[m].raw, &status[m], &bodies[m]);
+      ok[m] = conn.roundtrip(calls[m].raw, &replies[m]);
     }
     out.setup_s.push_back(now_s() - t0);
     for (std::size_t m = 0; m < calls.size(); ++m) {
       ++setup.attempted;
-      if (!ok[m] || status[m] != 200) {
+      if (!ok[m] || replies[m].status != 200) {
         setup.fail("first touch of " + calls[m].model->name + " failed");
         continue;
       }
-      const std::string why =
-          checker.check(bodies[m], calls[m].model->name, calls[m].freqs);
+      const std::string why = checker.check(
+          replies[m].body, calls[m].model->name, calls[m].freqs);
       if (!why.empty()) setup.fail("first touch: " + why);
     }
     if (i + 1 < kSetupSpawns) server.stop();
@@ -560,20 +574,20 @@ PhaseResult run_phase(const Workload& w, const Fleet& fleet,
   const auto clock_start = std::chrono::steady_clock::now();
   const double t_start = now_s();
   const double cpu_start = cpu_seconds();
-  const auto steal_start = steal_and_total();
+  const auto steal_start = steal_and_wanted();
   // Whole seconds; the steal share of each is sampled at its end.
   auto steal_prev = steal_start;
   const long window_seconds = std::max(1L, std::lround(w.seconds));
   for (long sec = 1; sec <= window_seconds; ++sec) {
     std::this_thread::sleep_until(clock_start + std::chrono::seconds(sec));
-    const auto steal_now = steal_and_total();
+    const auto steal_now = steal_and_wanted();
     out.steal_per_second.push_back(steal_share(steal_prev, steal_now));
     steal_prev = steal_now;
   }
   stop.store(true);
   const double t_stop = now_s();
   const double cpu_stop = cpu_seconds();
-  const auto steal_stop = steal_and_total();
+  const auto steal_stop = steal_and_wanted();
   for (std::thread& t : threads) t.join();
   // Before the refit in flight publishes: the live version then still has
   // the window's traffic on its counters.

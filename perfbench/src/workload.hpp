@@ -99,14 +99,15 @@ struct PhaseResult {
   std::vector<SpanLog> spans;
 };
 
-/// The eval metrics of a phase, measured over the quietest quarter of the
-/// window: the one-second slices in which the hypervisor stole the least
-/// CPU time (`steal` in /proc/stat), widened until they hold at least 1000
-/// evals. Neighbours on a shared host then move the metrics far less, and
-/// the selection never looks at the metrics themselves. p50 is over the
-/// pooled evals of those seconds, p99 the median over chunks of 1000 of
-/// them (each with 10 samples beyond it), throughput their count per
-/// chosen second.
+/// The eval metrics of a phase, measured over the quiet seconds of the
+/// window: the one-second slices in which the hypervisor stole under 1 %
+/// of the CPU time the guest wanted (`steal` in /proc/stat). When those
+/// are fewer than a quarter of the slices or hold fewer than 1000 evals,
+/// the next quietest slices join, ties included. Neighbours on a shared
+/// host then move the metrics far less, and the selection never looks at
+/// the metrics themselves. p50 is over the pooled evals of those seconds,
+/// p99 the median over chunks of 1000 of them (each with 10 samples
+/// beyond it), throughput their count per chosen second.
 struct EvalSummary {
   double p50_ms = 0.0;
   double p99_ms = 0.0;
