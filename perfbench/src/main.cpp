@@ -45,8 +45,19 @@ std::optional<double> median_of(const std::vector<double>& v) {
   return median(v);
 }
 
+/// Names the absent metrics on a line of their own, then prints the result
+/// line, where every value is a number: an absent metric reads 0, the time
+/// or count the run spent on a layer it did not find.
 void print_result(bool correct, std::uint64_t attempted, std::uint64_t failed,
                   const std::vector<Metric>& metrics) {
+  std::string absent;
+  for (const Metric& m : metrics) {
+    if (!m.value) absent += " " + m.name;
+  }
+  if (!absent.empty()) {
+    std::printf("perfbench: absent on this code, printed as 0:%s\n",
+                absent.c_str());
+  }
   std::string out = "{\"correct\": ";
   out += correct ? "true" : "false";
   out += ", \"attempted\": " + std::to_string(attempted);
@@ -56,16 +67,9 @@ void print_result(bool correct, std::uint64_t attempted, std::uint64_t failed,
   for (std::size_t i = 0; i < metrics.size(); ++i) {
     const Metric& m = metrics[i];
     if (i > 0) out += ", ";
-    out += "\"" + m.name + "\": {\"value\": ";
-    if (m.value) {
-      std::snprintf(num, sizeof num, "%.17g", *m.value);
-      out += num;
-    } else {
-      out += "null";
-    }
-    out += ", \"unit\": \"" + m.unit + "\"";
-    if (!m.value) out += ", \"absent\": true";
-    out += "}";
+    std::snprintf(num, sizeof num, "%.17g", m.value.value_or(0.0));
+    out += "\"" + m.name + "\": {\"value\": " + num + ", \"unit\": \"" +
+           m.unit + "\"}";
   }
   out += "}}";
   std::printf("%s\n", out.c_str());
@@ -128,8 +132,8 @@ std::optional<double> series(const perfbench::PhaseResult& p,
   return it->second;
 }
 
-/// The stages `mfti_serve` reports in `"timings"` today; any other stage
-/// it returns is printed too.
+/// The stages `mfti_serve` reports in `"timings"` today, each a metric of
+/// BENCHMARK.json; any other stage it returns goes on a summary line.
 const char* const kKnownStages[] = {"queue",     "admission", "lookup",
                                     "cache_hit", "factorize", "solve",
                                     "coalesce_wait"};
@@ -164,15 +168,16 @@ std::vector<Metric> per_layer(const perfbench::PhaseResult& plain,
   m.push_back({"net.queue_us", queue, "us"});
   m.push_back({"net.residue_us", residue, "us"});
   m.push_back({"serving.engine_us", engine, "us"});
-  std::vector<std::string> stages(std::begin(kKnownStages),
-                                  std::end(kKnownStages));
-  for (const auto& [name, values] : traced.stage_us) {
-    if (std::find(stages.begin(), stages.end(), name) == stages.end()) {
-      stages.push_back(name);
-    }
+  for (const char* name : kKnownStages) {
+    m.push_back({std::string("serving.stage.") + name + "_us", stage(name),
+                 "us"});
   }
-  for (const std::string& name : stages) {
-    m.push_back({"serving.stage." + name + "_us", stage(name), "us"});
+  for (const auto& [name, values] : traced.stage_us) {
+    if (std::find(std::begin(kKnownStages), std::end(kKnownStages), name) ==
+        std::end(kKnownStages)) {
+      std::printf("perfbench: other stage %s: median %.3f us\n", name.c_str(),
+                  median(values));
+    }
   }
   const auto hits = series(traced, "mfti_serving_cache_hits");
   const auto misses = series(traced, "mfti_serving_cache_misses");
@@ -270,8 +275,14 @@ int main(int argc, char** argv) {
         perfbench::run_phase(w, fleet, checker, serve, run_dir, false);
     summarize(w, "untraced", plain);
     if (trace == 0) {
-      print_result(plain.failed == 0, plain.attempted, plain.failed,
-                   end_to_end(plain));
+      // Every end-to-end metric is measured on every workload; a missing
+      // one means the run measured nothing.
+      const std::vector<Metric> metrics = end_to_end(plain);
+      const bool complete =
+          std::all_of(metrics.begin(), metrics.end(),
+                      [](const Metric& m) { return m.value.has_value(); });
+      print_result(plain.failed == 0 && complete, plain.attempted,
+                   plain.failed, metrics);
     } else {
       perfbench::PhaseResult traced =
           perfbench::run_phase(w, fleet, checker, serve, run_dir, true);
