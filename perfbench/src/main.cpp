@@ -132,11 +132,18 @@ std::optional<double> series(const perfbench::PhaseResult& p,
   return it->second;
 }
 
-/// The stages `mfti_serve` reports in `"timings"` today, each a metric of
-/// BENCHMARK.json; any other stage it returns goes on a summary line.
-const char* const kKnownStages[] = {"queue",     "admission", "lookup",
-                                    "cache_hit", "factorize", "solve",
-                                    "coalesce_wait"};
+/// The stages `mfti_serve` reports in `"timings"` on every workload today,
+/// each a metric of BENCHMARK.json. The others (`cache_hit`, `factorize`,
+/// `coalesce_wait`) occur only with some cache traffic, so a workload
+/// without it would print them as a constant 0; they and any stage the
+/// server newly reports go on a summary line.
+const char* const kMetricStages[] = {"queue", "admission", "lookup", "solve"};
+
+double mean(const std::vector<double>& v) {
+  double sum = 0.0;
+  for (const double x : v) sum += x;
+  return sum / static_cast<double>(v.size());
+}
 
 std::vector<Metric> per_layer(const perfbench::PhaseResult& plain,
                               const perfbench::PhaseResult& traced,
@@ -144,9 +151,11 @@ std::vector<Metric> per_layer(const perfbench::PhaseResult& plain,
   std::vector<Metric> m;
   const auto stage = [&](const std::string& name) {
     const auto it = traced.stage_us.find(name);
-    return it == traced.stage_us.end() ? std::nullopt : median_of(it->second);
+    return it == traced.stage_us.end() ? nullptr : &it->second;
   };
-  const std::optional<double> queue = stage("queue");
+  const std::vector<double>* queue_stage = stage("queue");
+  const std::optional<double> queue =
+      queue_stage ? median_of(*queue_stage) : std::nullopt;
   const std::optional<double> parse = median_of(rp.parse_us);
   const std::optional<double> engine = median_of(rp.engine_us);
   const std::optional<double> encode = median_of(rp.encode_us);
@@ -168,15 +177,19 @@ std::vector<Metric> per_layer(const perfbench::PhaseResult& plain,
   m.push_back({"net.queue_us", queue, "us"});
   m.push_back({"net.residue_us", residue, "us"});
   m.push_back({"serving.engine_us", engine, "us"});
-  for (const char* name : kKnownStages) {
-    m.push_back({std::string("serving.stage.") + name + "_us", stage(name),
-                 "us"});
+  // Stage times are means over the requests that report the stage: the
+  // server reports whole nanoseconds, and a median of sub-microsecond
+  // stages can repeat exactly from one run to the next.
+  for (const char* name : kMetricStages) {
+    const std::vector<double>* values = stage(name);
+    m.push_back({std::string("serving.stage.") + name + "_us",
+                 values ? std::optional(mean(*values)) : std::nullopt, "us"});
   }
   for (const auto& [name, values] : traced.stage_us) {
-    if (std::find(std::begin(kKnownStages), std::end(kKnownStages), name) ==
-        std::end(kKnownStages)) {
-      std::printf("perfbench: other stage %s: median %.3f us\n", name.c_str(),
-                  median(values));
+    if (std::find(std::begin(kMetricStages), std::end(kMetricStages), name) ==
+        std::end(kMetricStages)) {
+      std::printf("perfbench: stage %s: mean %.3f us over %zu requests\n",
+                  name.c_str(), mean(values), values.size());
     }
   }
   const auto hits = series(traced, "mfti_serving_cache_hits");
