@@ -1,24 +1,24 @@
 // Serving-path benchmark for api::ModelHandle: repeated frequency queries
 // against a fitted macromodel, comparing
 //
-//   naive      - ss::transfer_function per query (promote + factor each time)
-//   evaluator  - a persistent ss::BatchEvaluator (promote once, factor each
+//   naive      - ss::transfer_function per query (promote + O(n^3) dense LU
+//                each time)
+//   evaluator  - a persistent ss::BatchEvaluator (Hessenberg–triangular
+//                reduction once, O(n^2 m) solve per query)
+//   handle     - api::ModelHandle (the same evaluator, built on the first
 //                query)
-//   handle     - api::ModelHandle (promote once, factor once per *distinct*
-//                frequency, LRU-cached)
 //
-// The workload models a service answering response queries that keep
-// hitting the same frequency grid. Correctness is asserted, not assumed:
-// every served matrix must match ss::transfer_function within 1e-12, and
-// the cached path must beat the naive one outright (it performs 1/rounds of
-// the factorization work). Exits non-zero on any violation, so CI can run
-// this as a smoke test.
+// The workload models a service answering response queries over a
+// frequency grid. Correctness is asserted, not assumed: every served
+// matrix must match ss::transfer_function within 1e-12, and the handle
+// must beat naive re-evaluation outright. Exits non-zero on any
+// violation, so CI can run this as a smoke test.
 //
 // A second section measures the multi-model fleet path: N models
 // round-robin through one serving::ServingEngine (shared pool, batch
-// dedup, global cache budget) against the same queries issued directly to
-// N independent ModelHandles. Engine responses must match the direct path
-// within 1e-12; the timing rows land in the JSON trajectory.
+// dedup) against the same queries issued directly to N independent
+// ModelHandles. Engine responses must match the direct path within 1e-12;
+// the timing rows land in the JSON trajectory.
 //
 // A third section measures durability: fitting and publishing the fleet
 // into a journaled registry from scratch (cold fit) against rehydrating
@@ -32,8 +32,8 @@
 // failure); the single- vs multi-reader throughput ratio lands in the
 // JSON trajectory as the lock-free-read scaling signal.
 //
-// A fifth section measures the request-tracing overhead on the cached
-// engine path: the same warm fleet batches with no obs::TraceContext
+// A fifth section measures the request-tracing overhead on the engine
+// path: the same fleet batches with no obs::TraceContext
 // attached (the production default when MFTI_TRACE=0, and the fast path
 // every untraced request takes) against the same batches carrying a live
 // context that records every span. Both rows land in the JSON; when
@@ -151,17 +151,14 @@ int main(int argc, char** argv) {
     }
   }
   const double t_handle = sw.seconds();
-  const auto stats = handle.cache_stats();
 
   std::printf("\n%zu queries (%zu distinct frequencies x %zu rounds):\n",
               queries, freqs.size(), rounds);
   std::printf("  naive transfer_function : %8.3f ms\n", 1e3 * t_naive);
   std::printf("  persistent BatchEvaluator: %7.3f ms  (%.2fx)\n",
               1e3 * t_eval, t_naive / t_eval);
-  std::printf("  ModelHandle (LRU cache) : %8.3f ms  (%.2fx)\n",
+  std::printf("  ModelHandle             : %8.3f ms  (%.2fx)\n",
               1e3 * t_handle, t_naive / t_handle);
-  std::printf("  cache: %zu hits, %zu misses, %zu entries\n", stats.hits,
-              stats.misses, stats.entries);
   std::printf("  worst |H_handle - H_naive| = %.2e\n", worst);
 
   bool ok = true;
@@ -169,13 +166,8 @@ int main(int argc, char** argv) {
     std::printf("FAIL: served response deviates from transfer_function\n");
     ok = false;
   }
-  if (stats.misses != freqs.size() ||
-      stats.hits != queries - freqs.size()) {
-    std::printf("FAIL: unexpected cache behaviour\n");
-    ok = false;
-  }
   if (t_handle >= t_naive) {
-    std::printf("FAIL: cached serving not faster than naive re-evaluation\n");
+    std::printf("FAIL: handle serving not faster than naive re-evaluation\n");
     ok = false;
   }
 
@@ -235,10 +227,9 @@ int main(int argc, char** argv) {
     }
   }
   const double t_engine = sw.seconds();
-  const auto fleet_stats = engine.stats();
 
-  // Parity pass outside the timed region (correctness is warm/cold
-  // agnostic; the extra direct evaluations must not skew t_engine).
+  // Parity pass outside the timed region (the extra direct evaluations
+  // must not skew t_engine).
   double worst_engine = 0.0;
   {
     std::vector<serving::EvalRequest> batch;
@@ -262,9 +253,6 @@ int main(int argc, char** argv) {
   std::printf("  independent ModelHandles: %8.3f ms\n", 1e3 * t_direct);
   std::printf("  one ServingEngine       : %8.3f ms  (%.2fx, %zu workers)\n",
               1e3 * t_engine, t_direct / t_engine, engine.worker_count());
-  std::printf("  aggregated cache: %zu hits, %zu misses, %zu entries\n",
-              fleet_stats.cache.hits, fleet_stats.cache.misses,
-              fleet_stats.cache.entries);
   std::printf("  worst |H_engine - H_direct| = %.2e\n", worst_engine);
   if (worst_engine > 1e-12) {
     std::printf("FAIL: engine deviates from direct handle evaluation\n");
@@ -370,11 +358,13 @@ int main(int argc, char** argv) {
   for (double f : sp::log_grid(10.0, 1e5, 8)) {
     storm_points.emplace_back(0.0, 2.0 * std::numbers::pi * f);
   }
+  // References from separate handles: the engine must serve exactly these
+  // bits, so one value from the other version fails the != 0.0 check.
   std::vector<la::CMat> storm_ref_a;
   std::vector<la::CMat> storm_ref_b;
   for (const la::Complex& s : storm_points) {
-    storm_ref_a.push_back(ss::transfer_function(storm_a, s));
-    storm_ref_b.push_back(ss::transfer_function(storm_b, s));
+    storm_ref_a.push_back(api::ModelHandle(storm_a).evaluate(s));
+    storm_ref_b.push_back(api::ModelHandle(storm_b).evaluate(s));
   }
 
   const std::size_t storm_rounds = rounds * 8;
@@ -384,7 +374,6 @@ int main(int argc, char** argv) {
     std::size_t queries = 0;
     std::uint64_t publishes = 0;
     std::size_t mixed = 0;
-    std::uint64_t coalesced = 0;
   };
   const auto run_storm = [&](std::size_t readers) {
     serving::ModelRegistry storm_registry;
@@ -436,7 +425,6 @@ int main(int argc, char** argv) {
     result.queries = served.load();
     result.publishes = publishes;
     result.mixed = mixed.load();
-    result.coalesced = storm_engine.coalesced_total();
     return result;
   };
 
@@ -454,12 +442,10 @@ int main(int argc, char** argv) {
   std::printf("  1 reader   : %8.3f ms, %9.0f q/s, %llu publishes\n",
               1e3 * storm_1.seconds, qps_1,
               static_cast<unsigned long long>(storm_1.publishes));
-  std::printf(
-      "  %zu readers : %8.3f ms, %9.0f q/s, %llu publishes, "
-      "%llu coalesced (%.2fx)\n",
-      max_readers, 1e3 * storm_n.seconds, qps_n,
-      static_cast<unsigned long long>(storm_n.publishes),
-      static_cast<unsigned long long>(storm_n.coalesced), qps_n / qps_1);
+  std::printf("  %zu readers : %8.3f ms, %9.0f q/s, %llu publishes (%.2fx)\n",
+              max_readers, 1e3 * storm_n.seconds, qps_n,
+              static_cast<unsigned long long>(storm_n.publishes),
+              qps_n / qps_1);
   if (storm_1.mixed != 0 || storm_n.mixed != 0) {
     std::printf("FAIL: %zu mixed-version (or failed) storm responses\n",
                 storm_1.mixed + storm_n.mixed);
@@ -475,11 +461,11 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  // --- tracing overhead: cached engine eval, no context vs live context -----
+  // --- tracing overhead: engine eval, no context vs live context ------------
   //
-  // The fleet engine's cache is warm from the multi-model section, so both
-  // runs measure the pure serving path: registry acquire + cache hit +
-  // solve per point. The untraced run is the exact code path a production
+  // The fleet handles were reduced in the multi-model section, so both runs
+  // measure the pure serving path: registry acquire + one solve per point.
+  // The untraced run is the exact code path a production
   // request takes with tracing disabled (trace == nullptr skips every
   // clock read); the traced run pays begin/record/finish per batch. Each
   // variant runs five interleaved passes in alternating order and keeps
@@ -526,8 +512,7 @@ int main(int argc, char** argv) {
   }
   const double trace_ratio = t_trace_on / t_trace_off;
 
-  std::printf("\ntracing overhead: %zu rounds x %zu models x %zu points "
-              "(warm cache):\n",
+  std::printf("\ntracing overhead: %zu rounds x %zu models x %zu points:\n",
               trace_rounds, kFleet, fleet_points.size());
   std::printf("  tracing off (no context): %8.3f ms\n", 1e3 * t_trace_off);
   std::printf("  tracing on  (full spans): %8.3f ms  (%.4fx)\n",
@@ -553,20 +538,14 @@ int main(int argc, char** argv) {
            {{"seconds", t_naive}, {"queries", static_cast<double>(queries)}});
   json.add("batch_evaluator",
            {{"seconds", t_eval}, {"speedup", t_naive / t_eval}});
-  json.add("model_handle_lru",
-           {{"seconds", t_handle},
-            {"speedup", t_naive / t_handle},
-            {"cache_hits", static_cast<double>(stats.hits)},
-            {"cache_misses", static_cast<double>(stats.misses)}});
+  json.add("model_handle",
+           {{"seconds", t_handle}, {"speedup", t_naive / t_handle}});
   json.add("multi_model_direct",
            {{"seconds", t_direct}, {"models", static_cast<double>(kFleet)}});
   json.add("multi_model_engine",
            {{"seconds", t_engine},
             {"speedup", t_direct / t_engine},
-            {"models", static_cast<double>(kFleet)},
-            {"cache_hits", static_cast<double>(fleet_stats.cache.hits)},
-            {"cache_misses",
-             static_cast<double>(fleet_stats.cache.misses)}});
+            {"models", static_cast<double>(kFleet)}});
   json.add("cold_fit",
            {{"seconds", t_cold}, {"models", static_cast<double>(kFleet)}});
   json.add("warm_restart", {{"seconds", t_warm},
@@ -584,12 +563,11 @@ int main(int argc, char** argv) {
             {"queries", static_cast<double>(storm_n.queries)},
             {"qps", qps_n},
             {"publishes", static_cast<double>(storm_n.publishes)},
-            {"coalesced", static_cast<double>(storm_n.coalesced)},
             {"reader_scaling", qps_n / qps_1}});
-  json.add("cached_eval_trace_off",
+  json.add("engine_eval_trace_off",
            {{"seconds", t_trace_off},
             {"models", static_cast<double>(kFleet)}});
-  json.add("cached_eval_trace_on",
+  json.add("engine_eval_trace_on",
            {{"seconds", t_trace_on},
             {"models", static_cast<double>(kFleet)},
             {"overhead_ratio", trace_ratio}});

@@ -4,7 +4,7 @@
 //      serving::AsyncFitter; each auto-publishes into the ModelRegistry
 //      the moment it succeeds, while the main thread stays free to serve,
 //   2. route batched queries to both models through one ServingEngine
-//      (shared thread pool, in-batch dedup, global cache memory budget),
+//      (shared thread pool, in-batch dedup),
 //   3. refit one model in the background and republish: in-flight queries
 //      on the old snapshot finish untouched, new requests see version 2,
 //      and rollback brings version 1 back if the refit disappoints.
@@ -76,9 +76,8 @@ int main() {
                 info.num_outputs, info.num_inputs, info.fit_seconds);
   }
 
-  // --- 2. serve both through one engine with a 1 MiB cache budget ----------
-  serving::ServingEngine engine(registry,
-                                {.cache_memory_budget = 1 << 20});
+  // --- 2. serve both through one engine ------------------------------------
+  serving::ServingEngine engine(registry);
   const auto grid = sampling::log_grid(10.0, 1e5, 40);
   std::vector<serving::EvalRequest> batch;
   for (const auto& name : {"filter", "link"}) {
@@ -98,12 +97,8 @@ int main() {
       }
     }
   }
-  const auto stats = engine.stats();
-  std::printf(
-      "served %d rounds x %zu points x %zu models: %zu hits, %zu misses, "
-      "%zu KiB cached (budget %zu KiB)\n",
-      3, grid.size(), stats.models, stats.cache.hits, stats.cache.misses,
-      stats.memory_bytes >> 10, stats.memory_budget >> 10);
+  std::printf("served %d rounds x %zu points x %zu models on %zu workers\n",
+              3, grid.size(), registry.size(), engine.worker_count());
 
   // --- 3. refit + republish + rollback --------------------------------------
   api::FitRequest refit;

@@ -1,22 +1,17 @@
 #include "api/model_handle.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <functional>
-#include <limits>
 #include <numbers>
 #include <utility>
 
-#include "parallel/parallel_for.hpp"
-
 namespace mfti::api {
 
-ModelHandle::ModelHandle(ss::DescriptorSystem model, ModelHandleOptions opts)
-    : model_(std::move(model)), evaluator_(model_), opts_(opts) {}
+ModelHandle::ModelHandle(ss::DescriptorSystem model)
+    : model_(std::move(model)) {
+  model_.validate();
+}
 
-ModelHandle::ModelHandle(const FitReport& report, ModelHandleOptions opts)
-    : ModelHandle(report.model, opts) {}
+ModelHandle::ModelHandle(const FitReport& report)
+    : ModelHandle(report.model) {}
 
 std::vector<la::Complex> points_from_freqs_hz(
     const std::vector<la::Real>& freqs_hz) {
@@ -28,105 +23,15 @@ std::vector<la::Complex> points_from_freqs_hz(
   return points;
 }
 
-std::size_t PencilKeyHash::operator()(const la::Complex& s) const {
-  const std::size_t h_re = std::hash<la::Real>{}(s.real());
-  const std::size_t h_im = std::hash<la::Real>{}(s.imag());
-  return h_re ^ (h_im + 0x9e3779b97f4a7c15ull + (h_re << 6) + (h_re >> 2));
-}
-
-ModelHandle::Factorization ModelHandle::factor_pencil(la::Complex s) const {
-  const auto& sys = evaluator_.system();
-  const std::size_t n = sys.a.rows();
-  la::CMat pencil(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      pencil(i, j) = s * sys.e(i, j) - sys.a(i, j);
-    }
-  }
-  return Factorization(std::move(pencil));
-}
-
-std::size_t ModelHandle::effective_capacity() const {
-  const std::size_t budget =
-      budget_hook_ ? budget_hook_() : std::numeric_limits<std::size_t>::max();
-  return std::min(opts_.cache_capacity, budget);
-}
-
-void ModelHandle::evict_to(std::size_t capacity) const {
-  while (cache_.size() > capacity) {
-    cache_.erase(lru_.back());
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
-}
-
-std::shared_ptr<const ModelHandle::Factorization>
-ModelHandle::factorization_for(la::Complex s, bool* cache_hit) const {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = cache_.find(s);
-    if (it != cache_.end()) {
-      ++stats_.hits;
-      if (cache_hit != nullptr) *cache_hit = true;
-      lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-      return it->second.lu;
-    }
-    ++stats_.misses;
-    if (cache_hit != nullptr) *cache_hit = false;
-  }
-  // Factor outside the lock: concurrent misses on distinct frequencies must
-  // not serialize their O(n^3) work.
-  auto lu = std::make_shared<const Factorization>(factor_pencil(s));
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = cache_.find(s);
-  if (it != cache_.end()) {
-    // Another thread factored the same point while we worked; keep its
-    // entry (ours is identical).
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    return it->second.lu;
-  }
-  const std::size_t capacity = effective_capacity();
-  if (capacity == 0) return lu;  // budget leaves no room: serve uncached
-  lru_.push_front(s);
-  cache_.emplace(s, Entry{lu, lru_.begin()});
-  evict_to(capacity);
-  return lu;
+const ss::BatchEvaluator& ModelHandle::evaluator() const {
+  std::call_once(evaluator_once_, [this] {
+    evaluator_ = std::make_unique<const ss::BatchEvaluator>(model_);
+  });
+  return *evaluator_;
 }
 
 la::CMat ModelHandle::evaluate(la::Complex s) const {
-  if (opts_.cache_capacity == 0) return evaluator_.evaluate(s);
-  const auto lu = factorization_for(s);
-  const auto& sys = evaluator_.system();
-  // Identical arithmetic to the one-shot evaluation: LU-solve all port
-  // columns of B against the (cached) factorization, then C X + D.
-  return sys.c * lu->solve(sys.b) + sys.d;
-}
-
-la::CMat ModelHandle::evaluate(la::Complex s,
-                               EvalBreakdown* breakdown) const {
-  if (breakdown == nullptr) return evaluate(s);
-  using TraceClock = std::chrono::steady_clock;
-  const auto elapsed = [](TraceClock::time_point from,
-                          TraceClock::time_point to) {
-    return std::chrono::duration<double>(to - from).count();
-  };
-  const auto t0 = TraceClock::now();
-  if (opts_.cache_capacity == 0) {
-    // Uncached: the evaluator fuses factor and solve; attribute the whole
-    // cost to the factorization (the dominant term).
-    la::CMat out = evaluator_.evaluate(s);
-    breakdown->cache_hit = false;
-    breakdown->factor_seconds = elapsed(t0, TraceClock::now());
-    breakdown->solve_seconds = 0.0;
-    return out;
-  }
-  const auto lu = factorization_for(s, &breakdown->cache_hit);
-  const auto t1 = TraceClock::now();
-  const auto& sys = evaluator_.system();
-  la::CMat out = sys.c * lu->solve(sys.b) + sys.d;
-  breakdown->factor_seconds = elapsed(t0, t1);
-  breakdown->solve_seconds = elapsed(t1, TraceClock::now());
-  return out;
+  return evaluator().evaluate(s);
 }
 
 la::CMat ModelHandle::response_at(la::Real f_hz) const {
@@ -136,50 +41,13 @@ la::CMat ModelHandle::response_at(la::Real f_hz) const {
 std::vector<la::CMat> ModelHandle::evaluate(
     const std::vector<la::Complex>& points,
     const parallel::ExecutionPolicy& exec) const {
-  std::vector<la::CMat> out(points.size());
-  parallel::parallel_for(points.size(), exec,
-                         [&](std::size_t i) { out[i] = evaluate(points[i]); });
-  return out;
+  return evaluator().evaluate(points, exec);
 }
 
 std::vector<la::CMat> ModelHandle::sweep(
     const std::vector<la::Real>& freqs_hz,
     const parallel::ExecutionPolicy& exec) const {
   return evaluate(points_from_freqs_hz(freqs_hz), exec);
-}
-
-CacheStats ModelHandle::cache_stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  CacheStats stats = stats_;
-  stats.entries = cache_.size();
-  return stats;
-}
-
-void ModelHandle::clear_cache() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  cache_.clear();
-  lru_.clear();
-  stats_ = {};
-}
-
-void ModelHandle::set_cache_budget_hook(CacheBudgetHook hook) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  budget_hook_ = std::move(hook);
-}
-
-void ModelHandle::enforce_cache_budget() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  evict_to(effective_capacity());
-}
-
-std::size_t ModelHandle::bytes_per_entry() const {
-  const std::size_t n = order();
-  return n * n * sizeof(la::Complex) + n * sizeof(std::size_t);
-}
-
-std::size_t ModelHandle::memory_footprint() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return cache_.size() * bytes_per_entry();
 }
 
 }  // namespace mfti::api

@@ -1,122 +1,68 @@
 /// \file model_handle.hpp
-/// \brief Serving wrapper around a fitted model: a persistent
-/// `ss::BatchEvaluator` plus a thread-safe LRU cache of factored
-/// `(sE - A)` pencils, so repeated and concurrent response queries — the
-/// serving hot path — skip the O(n^3) refactorization and pay only the
-/// O(n^2 m) solve and the O(p n m) output product.
+/// \brief Serving wrapper around a fitted model: one `ss::BatchEvaluator`
+/// (the Hessenberg–triangular form of the pencil), built on the first
+/// evaluation and shared by every query after it, so each response query
+/// — the serving hot path — costs one O(n^2 m) Hessenberg solve plus the
+/// O(p n m) output product.
 ///
 /// ```cpp
 /// api::ModelHandle handle(*report);
-/// auto h = handle.response_at(2.4e9);          // cold: factor + solve
-/// auto h2 = handle.response_at(2.4e9);         // warm: cached factors
-/// auto sweep = handle.sweep(grid, exec_pool);  // parallel, cache-aware
+/// auto h = handle.response_at(2.4e9);          // first call: reduce + solve
+/// auto h2 = handle.response_at(1.2e9);         // later calls: solve only
+/// auto sweep = handle.sweep(grid, exec_pool);  // parallel over points
 /// ```
 ///
-/// Results are identical to `ss::transfer_function` at every point: the
-/// cache stores the exact LU factors the one-shot evaluation would compute.
+/// The reduction is lazy so that a handle nobody queries (rollback history,
+/// a warm-restarted fleet before its first request) never pays it. Results
+/// agree with the dense-LU reference `ss::transfer_function` to rounding;
+/// repeated queries of one point on one handle are bitwise identical.
 
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "api/fit_report.hpp"
-#include "linalg/lu.hpp"
 #include "parallel/execution.hpp"
 #include "statespace/descriptor.hpp"
 #include "statespace/response.hpp"
 
 namespace mfti::api {
 
-struct ModelHandleOptions {
-  /// Maximum number of cached factorizations (each is an order x order
-  /// complex matrix). 0 disables caching — every query refactors, like the
-  /// plain `ss::BatchEvaluator`.
-  std::size_t cache_capacity = 128;
-};
-
-/// Hash of a complex evaluation point (bitwise identity). Shared between
-/// the pencil cache below and the serving layer's in-batch deduplication
-/// so both agree on what "the same point" means.
-struct PencilKeyHash {
-  std::size_t operator()(const la::Complex& s) const;
-};
-
 /// The one frequency convention of the serving stack: `s = j 2 pi f` for
 /// every `f` in Hz. `ModelHandle::sweep`, the engine's
 /// `EvalRequest::freqs_hz` vocabulary and (through it) the HTTP wire
 /// format all convert through this helper, so the same grid produces
-/// bit-identical evaluation points — and cache keys — on every path.
+/// bit-identical evaluation points on every path.
 std::vector<la::Complex> points_from_freqs_hz(
     const std::vector<la::Real>& freqs_hz);
 
-/// Cumulative cache counters since construction (or `clear_cache`).
-struct CacheStats {
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-  std::size_t evictions = 0;
-  std::size_t entries = 0;  ///< current number of cached factorizations
-};
-
-/// Per-call timing split of one `evaluate`, filled through the traced
-/// overload below — the span hook of the observability layer
-/// (src/obs/trace.hpp maps it onto `cache_hit` / `factorize` / `solve`
-/// spans). `factor_seconds` covers obtaining the factorization: the cache
-/// probe alone on a hit, probe + O(n^3) LU on a miss. On a handle with
-/// caching disabled the evaluator fuses factor and solve; the whole cost
-/// is then reported as `factor_seconds`.
-struct EvalBreakdown {
-  bool cache_hit = false;
-  double factor_seconds = 0.0;
-  double solve_seconds = 0.0;
-};
-
-/// External cache-budget provider (installed by an owner such as
-/// `serving::ServingEngine`): returns the number of cached factorizations
-/// this handle may currently keep, *in addition to* the handle's own
-/// `cache_capacity` (the smaller of the two wins). Consulted under the
-/// cache lock on every insert, so it must be cheap, thread-safe, and must
-/// never call back into the handle.
-using CacheBudgetHook = std::function<std::size_t()>;
-
-/// Thread-safe, cache-backed frequency-response server for one fitted
-/// model. All query methods are const and safe to call concurrently.
+/// Thread-safe frequency-response server for one fitted model. All query
+/// methods are const and safe to call concurrently.
 class ModelHandle {
  public:
   /// \throws std::invalid_argument on inconsistent model dimensions.
-  explicit ModelHandle(ss::DescriptorSystem model,
-                       ModelHandleOptions opts = {});
+  explicit ModelHandle(ss::DescriptorSystem model);
   /// Serve the model of a successful fit.
-  explicit ModelHandle(const FitReport& report, ModelHandleOptions opts = {});
+  explicit ModelHandle(const FitReport& report);
 
   const ss::DescriptorSystem& model() const { return model_; }
-  /// The serving options the handle was built with (persisted by
-  /// `io::save_model_snapshot` so a reloaded handle serves identically).
-  const ModelHandleOptions& options() const { return opts_; }
-  std::size_t order() const { return evaluator_.order(); }
-  std::size_t num_inputs() const { return evaluator_.num_inputs(); }
-  std::size_t num_outputs() const { return evaluator_.num_outputs(); }
+  std::size_t order() const { return model_.order(); }
+  std::size_t num_inputs() const { return model_.num_inputs(); }
+  std::size_t num_outputs() const { return model_.num_outputs(); }
 
-  /// `H(s)` at one point, reusing a cached factorization of `(sE - A)`
-  /// when `s` was queried before.
-  /// \throws la::SingularMatrixError when `s` is (numerically) a pole.
+  /// `H(s)` at one point. The first evaluation of the handle builds its
+  /// evaluator; concurrent first callers wait for that one build.
+  /// \throws la::SingularMatrixError when `s` is a pole (an exactly zero
+  /// pivot).
   la::CMat evaluate(la::Complex s) const;
-
-  /// Same evaluation, reporting where the time went. A null `breakdown`
-  /// is exactly `evaluate(s)` — the serving engine passes null whenever
-  /// the request carries no trace, so tracing-off costs one branch.
-  la::CMat evaluate(la::Complex s, EvalBreakdown* breakdown) const;
 
   /// `H(j 2 pi f)` at one frequency (Hz).
   la::CMat response_at(la::Real f_hz) const;
 
-  /// `H(s)` at every point; independent points fan out under `exec`, each
-  /// going through the cache.
+  /// `H(s)` at every point; independent points fan out under `exec`.
   std::vector<la::CMat> evaluate(
       const std::vector<la::Complex>& points,
       const parallel::ExecutionPolicy& exec = {}) const;
@@ -125,58 +71,12 @@ class ModelHandle {
   std::vector<la::CMat> sweep(const std::vector<la::Real>& freqs_hz,
                               const parallel::ExecutionPolicy& exec = {}) const;
 
-  CacheStats cache_stats() const;
-
-  /// Drop every cached factorization and reset the counters.
-  void clear_cache() const;
-
-  /// Install (or, with an empty function, remove) an externally-owned
-  /// budget for this handle's cache. The hook caps future inserts
-  /// immediately; call `enforce_cache_budget` to also trim entries already
-  /// cached. Const for the same reason the cache is mutable: the budget is
-  /// serving state, not model state, and registry snapshots are
-  /// `shared_ptr<const ModelHandle>`.
-  void set_cache_budget_hook(CacheBudgetHook hook) const;
-
-  /// Evict (LRU-first) down to the current effective capacity — used by an
-  /// external budget owner after shrinking its allowance.
-  void enforce_cache_budget() const;
-
-  /// Bytes one cached factorization occupies (the packed order x order
-  /// complex LU plus its pivot vector). Constant per handle.
-  std::size_t bytes_per_entry() const;
-
-  /// Bytes currently held by the pencil cache (entries x bytes_per_entry).
-  /// Cheap: one lock, no traversal.
-  std::size_t memory_footprint() const;
-
  private:
-  using Factorization = la::LuDecomposition<la::Complex>;
-
-  struct Entry {
-    std::shared_ptr<const Factorization> lu;
-    std::list<la::Complex>::iterator lru_pos;
-  };
-
-  /// `cache_hit` (optional) reports whether the probe found the entry.
-  std::shared_ptr<const Factorization> factorization_for(
-      la::Complex s, bool* cache_hit = nullptr) const;
-  Factorization factor_pencil(la::Complex s) const;
-  /// min(cache_capacity, budget hook). Caller must hold `mutex_`.
-  std::size_t effective_capacity() const;
-  /// Evict LRU entries beyond `capacity`. Caller must hold `mutex_`.
-  void evict_to(std::size_t capacity) const;
+  const ss::BatchEvaluator& evaluator() const;
 
   ss::DescriptorSystem model_;
-  ss::BatchEvaluator evaluator_;
-  ModelHandleOptions opts_;
-
-  mutable std::mutex mutex_;
-  mutable CacheBudgetHook budget_hook_;
-  /// Most-recently-used key at the front.
-  mutable std::list<la::Complex> lru_;
-  mutable std::unordered_map<la::Complex, Entry, PencilKeyHash> cache_;
-  mutable CacheStats stats_;
+  mutable std::once_flag evaluator_once_;
+  mutable std::unique_ptr<const ss::BatchEvaluator> evaluator_;
 };
 
 }  // namespace mfti::api

@@ -339,7 +339,7 @@ api::Expected<ss::DescriptorSystem> load_system_snapshot(
 api::Status save_model_snapshot(const std::string& path,
                                 const api::ModelHandle& handle) {
   ByteWriter payload;
-  payload.u64(handle.options().cache_capacity);
+  payload.u64(kReservedModelWord);
   write_system(payload, handle.model());
   std::string bytes;
   append_file_header(bytes, kSnapshotMagic, kSnapshotFormatVersion);
@@ -353,12 +353,11 @@ api::Expected<std::shared_ptr<const api::ModelHandle>> load_model_snapshot(
   if (!payload) return payload.status();
   try {
     ByteReader in(*payload);
-    api::ModelHandleOptions opts;
-    opts.cache_capacity = static_cast<std::size_t>(in.u64());
+    in.u64();  // kReservedModelWord
     ss::DescriptorSystem sys = read_system(in);
     in.expect_end();
     return std::shared_ptr<const api::ModelHandle>(
-        std::make_shared<const api::ModelHandle>(std::move(sys), opts));
+        std::make_shared<const api::ModelHandle>(std::move(sys)));
   } catch (const std::exception& e) {
     return api::Status::invalid_argument("'" + path + "': " + e.what());
   }

@@ -58,6 +58,12 @@ constexpr std::uint32_t fourcc(char a, char b, char c, char d) {
 inline constexpr std::uint32_t kSectionSystem = fourcc('S', 'Y', 'S', 'T');
 inline constexpr std::uint32_t kSectionModel = fourcc('M', 'O', 'D', 'L');
 
+/// The reserved u64 that precedes the model in a `MODL` payload and in a
+/// persisted registry version. It was the handle's pencil-cache capacity;
+/// writers still write the old default so an older reader reopening the
+/// file behaves as before, and readers ignore the word.
+inline constexpr std::uint64_t kReservedModelWord = 128;
+
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320, init/final XOR 0xFFFFFFFF).
 /// Pass a previous result as `seed` to checksum data in pieces.
 std::uint32_t crc32(const void* data, std::size_t len,
@@ -179,9 +185,8 @@ api::Status save_system_snapshot(const std::string& path,
 api::Expected<ss::DescriptorSystem> load_system_snapshot(
     const std::string& path);
 
-/// One `MODL` section: the handle's serving options (cache capacity)
-/// followed by its model. The pencil cache is serving state and is not
-/// persisted — a reloaded handle starts cold but serves bitwise-identical
+/// One `MODL` section: the reserved word (`kReservedModelWord`) followed
+/// by the handle's model. A reloaded handle serves bitwise-identical
 /// answers.
 api::Status save_model_snapshot(const std::string& path,
                                 const api::ModelHandle& handle);

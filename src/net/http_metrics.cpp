@@ -66,8 +66,7 @@ void HttpMetrics::observe(const std::string& endpoint, int status,
   ++m.buckets[bucket];
 }
 
-std::string HttpMetrics::render(
-    const serving::ServingStats& engine_stats) const {
+std::string HttpMetrics::render(std::size_t live_models) const {
   std::string out;
   out.reserve(4096);
   // Identity of the running binary: version, compiler, and the SIMD
@@ -137,61 +136,17 @@ std::string HttpMetrics::render(
               static_cast<double>(deadline_expired_total_));
 
   out.append(
-      "# HELP mfti_serving_cache_hits Pencil-cache hits across live "
-      "models.\n# TYPE mfti_serving_cache_hits counter\n");
-  append_line(&out, "mfti_serving_cache_hits", "",
-              static_cast<double>(engine_stats.cache.hits));
-  append_line(&out, "mfti_serving_cache_misses", "",
-              static_cast<double>(engine_stats.cache.misses));
-  append_line(&out, "mfti_serving_cache_evictions", "",
-              static_cast<double>(engine_stats.cache.evictions));
-  append_line(&out, "mfti_serving_cache_entries", "",
-              static_cast<double>(engine_stats.cache.entries));
+      "# HELP mfti_serving_models Models with a live version.\n"
+      "# TYPE mfti_serving_models gauge\n");
   append_line(&out, "mfti_serving_models", "",
-              static_cast<double>(engine_stats.models));
-  append_line(&out, "mfti_serving_cache_memory_bytes", "",
-              static_cast<double>(engine_stats.memory_bytes));
-  append_line(&out, "mfti_serving_cache_memory_budget_bytes", "",
-              static_cast<double>(engine_stats.memory_budget));
-  out.append(
-      "# HELP mfti_serving_coalesced_total Evaluations answered by "
-      "joining another batch's in-flight computation.\n"
-      "# TYPE mfti_serving_coalesced_total counter\n");
-  append_line(&out, "mfti_serving_coalesced_total", "",
-              static_cast<double>(engine_stats.coalesced));
-
-  // Per-model series: one row per registered name (aliases of a shared
-  // handle repeat its cache counters), labeled by model and live version
-  // so the demand-weighted partitioner is observable per model.
-  out.append(
-      "# HELP mfti_serving_model_cache_hits Pencil-cache hits of one "
-      "model.\n# TYPE mfti_serving_model_cache_hits counter\n");
-  for (const serving::ModelServingStats& row : engine_stats.per_model) {
-    const std::string labels = "model=\"" + escape_label(row.name) +
-                               "\",version=\"" +
-                               std::to_string(row.version) + "\"";
-    append_line(&out, "mfti_serving_model_cache_hits", labels,
-                static_cast<double>(row.cache.hits));
-    append_line(&out, "mfti_serving_model_cache_misses", labels,
-                static_cast<double>(row.cache.misses));
-    append_line(&out, "mfti_serving_model_cache_evictions", labels,
-                static_cast<double>(row.cache.evictions));
-    append_line(&out, "mfti_serving_model_cache_entries", labels,
-                static_cast<double>(row.cache.entries));
-    append_line(&out, "mfti_serving_model_cache_memory_bytes", labels,
-                static_cast<double>(row.memory_bytes));
-    append_line(&out, "mfti_serving_model_cache_share_bytes", labels,
-                static_cast<double>(row.share_bytes));
-    append_line(&out, "mfti_serving_model_demand_ewma", labels,
-                row.demand_ewma);
-  }
+              static_cast<double>(live_models));
   return out;
 }
 
 std::string HttpMetrics::render(
-    const serving::ServingStats& engine_stats,
+    std::size_t live_models,
     const serving::RegistryVerifyStats& verify) const {
-  std::string out = render(engine_stats);
+  std::string out = render(live_models);
   out.append(
       "# HELP mfti_registry_verify_pass_total Publishes accepted by the "
       "verification gate.\n"
@@ -225,10 +180,10 @@ std::string HttpMetrics::render(
   return out;
 }
 
-std::string HttpMetrics::render(const serving::ServingStats& engine_stats,
+std::string HttpMetrics::render(std::size_t live_models,
                                 const serving::RegistryVerifyStats& verify,
                                 const obs::StageSnapshot& stages) const {
-  std::string out = render(engine_stats, verify);
+  std::string out = render(live_models, verify);
   out.append(
       "# HELP mfti_stage_seconds Per-stage latency of the serving path "
       "(trace spans).\n# TYPE mfti_stage_seconds histogram\n");

@@ -5,8 +5,9 @@
 ///
 /// Counters are plain mutex-guarded tallies — the serving hot path records
 /// one observation per request, far from contention-critical — and the
-/// renderer adds the engine's `ServingStats` (cache hits/misses/footprint)
-/// so one scrape shows both the HTTP edge and the evaluation core.
+/// renderer adds the live-model count, the registry's verification gate
+/// and the per-stage trace histograms, so one scrape shows both the HTTP
+/// edge and the evaluation core.
 
 #pragma once
 
@@ -18,7 +19,6 @@
 #include <string>
 
 #include "obs/trace.hpp"
-#include "serving/serving_engine.hpp"
 
 namespace mfti::serving {
 struct RegistryVerifyStats;
@@ -50,18 +50,18 @@ class HttpMetrics {
   void count_deadline_expired() { add_counter(&deadline_expired_total_); }
 
   /// Render everything as Prometheus text format v0.0.4, including the
-  /// engine stats snapshot passed in by the front.
-  std::string render(const serving::ServingStats& engine_stats) const;
+  /// number of live models passed in by the front (`mfti_serving_models`).
+  std::string render(std::size_t live_models) const;
 
   /// Same, plus the registry's verification-gate series
   /// (`mfti_registry_verify_*` and the quarantine gauge).
-  std::string render(const serving::ServingStats& engine_stats,
+  std::string render(std::size_t live_models,
                      const serving::RegistryVerifyStats& verify) const;
 
   /// Full scrape: everything above plus the tracing layer's per-stage
   /// latency histograms (`mfti_stage_seconds{stage=...}`, the queue-wait
   /// series among them).
-  std::string render(const serving::ServingStats& engine_stats,
+  std::string render(std::size_t live_models,
                      const serving::RegistryVerifyStats& verify,
                      const obs::StageSnapshot& stages) const;
 

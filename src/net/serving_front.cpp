@@ -933,7 +933,7 @@ HttpResponse ServingFront::handle_trace_listing() const {
 HttpResponse ServingFront::handle_metrics() const {
   HttpResponse response;
   response.headers["Content-Type"] = "text/plain; version=0.0.4";
-  response.body = metrics_.render(engine_.stats(), registry_.verify_stats(),
+  response.body = metrics_.render(registry_.size(), registry_.verify_stats(),
                                   collector_.stage_snapshot());
   return response;
 }

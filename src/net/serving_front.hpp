@@ -39,13 +39,12 @@
 /// Observability: unless disabled (`MFTI_TRACE=0`), every request gets an
 /// `obs::TraceContext` — id from the client's `X-Request-Id` header or
 /// generated, echoed back in the response — that collects per-stage spans
-/// (queue wait, admission, registry lookup, cache hit / factorization,
-/// solve, coalescing wait) across the front and the engine. Completed
-/// traces land in the collector's ring (slow ones retained
-/// preferentially), feed the `mfti_stage_seconds` histograms on
-/// `/metrics`, and are listed by `GET /v1/admin/trace`; a client sending
-/// `X-MFTI-Trace: 1` additionally gets a `"timings"` block in its
-/// `/v1/eval` response. docs/observability.md is the reference.
+/// (queue wait, admission, registry lookup, one solve per point) across
+/// the front and the engine. Completed traces land in the collector's
+/// ring (slow ones retained preferentially), feed the `mfti_stage_seconds`
+/// histograms on `/metrics`, and are listed by `GET /v1/admin/trace`; a
+/// client sending `X-MFTI-Trace: 1` additionally gets a `"timings"` block
+/// in its `/v1/eval` response. docs/observability.md is the reference.
 ///
 /// Shutdown: `begin_drain()` (the SIGTERM path of `tools/mfti_serve.cpp`)
 /// stops accepting, lets in-flight requests complete, closes idle

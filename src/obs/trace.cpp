@@ -85,14 +85,8 @@ const char* stage_name(Stage stage) {
       return "admission";
     case Stage::Lookup:
       return "lookup";
-    case Stage::CacheHit:
-      return "cache_hit";
-    case Stage::Factorize:
-      return "factorize";
     case Stage::Solve:
       return "solve";
-    case Stage::CoalesceWait:
-      return "coalesce_wait";
   }
   return "unknown";
 }

@@ -5,13 +5,12 @@
 ///
 /// One `TraceContext` accompanies one request from the moment it leaves
 /// the ready queue to the moment its response is built: the HTTP front
-/// records the queue and admission stages, `serving::ServingEngine`
-/// records the registry lookup and the coalescing-follower wait, and
-/// `api::ModelHandle` (through its `EvalBreakdown` out-parameter) supplies
-/// the cache-hit / factorization / solve split. Completed traces land in
-/// the `TraceCollector`'s ring buffer and feed the `mfti_stage_seconds`
-/// Prometheus histograms, so one `/metrics` scrape localizes where time
-/// goes fleet-wide and `GET /v1/admin/trace` shows individual requests.
+/// records the queue and admission stages, and `serving::ServingEngine`
+/// records the registry lookup and one solve per distinct point.
+/// Completed traces land in the `TraceCollector`'s ring buffer and feed
+/// the `mfti_stage_seconds` Prometheus histograms, so one `/metrics`
+/// scrape localizes where time goes fleet-wide and `GET /v1/admin/trace`
+/// shows individual requests.
 ///
 /// Cost model: when the collector is disabled (`MFTI_TRACE=0`) `begin()`
 /// returns null and every instrumented site reduces to one pointer check —
@@ -46,15 +45,12 @@ namespace mfti::obs {
 /// The span taxonomy of the serving path (docs/observability.md describes
 /// where each stage is measured). Values index the histogram arrays.
 enum class Stage : std::uint8_t {
-  Queue = 0,     ///< ready-queue wait: (re)enqueue -> request handling
-  Admission,     ///< rate-limiter decision on POST /v1/eval
-  Lookup,        ///< registry acquire (lock-free snapshot read)
-  CacheHit,      ///< pencil-cache probe that found a factorization
-  Factorize,     ///< cache miss: O(n^3) LU of (sE - A)
-  Solve,         ///< O(n^2 m) solve + C X + D output product
-  CoalesceWait,  ///< follower waiting on another batch's in-flight work
+  Queue = 0,  ///< ready-queue wait: (re)enqueue -> request handling
+  Admission,  ///< rate-limiter decision on POST /v1/eval
+  Lookup,     ///< registry acquire (lock-free snapshot read)
+  Solve,      ///< one point: O(n^2 m) Hessenberg solve + C X + D
 };
-inline constexpr std::size_t kStageCount = 7;
+inline constexpr std::size_t kStageCount = 4;
 
 /// Canonical label of a stage (`mfti_stage_seconds{stage=...}`).
 const char* stage_name(Stage stage);
@@ -107,7 +103,7 @@ class TraceContext {
   void record(Stage stage, Clock::time_point start, Clock::time_point end);
 
   /// Record one completed stage by timeline offset + duration — for spans
-  /// whose boundaries were measured elsewhere (`api::EvalBreakdown`).
+  /// whose boundaries were measured elsewhere (the front's queue wait).
   void record_offset(Stage stage, double start_seconds, double seconds);
 
   /// RAII span: records on destruction. A null context is a no-op, so

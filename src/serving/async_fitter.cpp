@@ -86,7 +86,7 @@ void AsyncFitter::worker_loop(std::size_t slot) {
         // The fit samples double as the verification gate's held-out set.
         const PublishResult published =
             registry_.publish(job.publish_name, *report,
-                              opts_.handle_options, &job.request.samples);
+                              &job.request.samples);
         if (published.quarantined) {
           report = api::Status::numerical_error(
               "model quarantined: " + published.verification.summary());

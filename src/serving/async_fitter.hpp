@@ -52,8 +52,6 @@ struct AsyncFitterOptions {
   /// Concurrent fit jobs (each is a dedicated thread — fits are
   /// long-running, so they never share the query pool).
   std::size_t workers = 1;
-  /// Cache options of the `ModelHandle` built for auto-published fits.
-  api::ModelHandleOptions handle_options;
 };
 
 class AsyncFitter {

@@ -84,9 +84,7 @@ std::uint64_t ModelRegistry::publish_locked(
     record.seq = seq_ + 1;
     record.name = name;
     record.version =
-        PersistedVersion{version.info,
-                         version.handle->options().cache_capacity,
-                         version.handle->model()};
+        PersistedVersion{version.info, version.handle->model()};
     if (const auto status = journal_locked(record); !status.is_ok()) {
       throw std::runtime_error("ModelRegistry::publish: " +
                                status.to_string());
@@ -127,9 +125,7 @@ std::uint64_t ModelRegistry::quarantine_locked(
     record.op = kRecordQuarantine;
     record.seq = seq_ + 1;
     record.name = name;
-    record.version = PersistedVersion{q.info,
-                                      q.handle->options().cache_capacity,
-                                      q.handle->model()};
+    record.version = PersistedVersion{q.info, q.handle->model()};
     record.verification = report;
     if (const auto status = journal_locked(record); !status.is_ok()) {
       throw std::runtime_error("ModelRegistry::publish: " +
@@ -184,10 +180,8 @@ PublishResult ModelRegistry::publish(const std::string& name,
 
 PublishResult ModelRegistry::publish(const std::string& name,
                                      const api::FitReport& report,
-                                     api::ModelHandleOptions handle_opts,
                                      const sampling::SampleSet* held_out) {
-  return publish(name,
-                 std::make_shared<const api::ModelHandle>(report, handle_opts),
+  return publish(name, std::make_shared<const api::ModelHandle>(report),
                  report.algorithm, report.seconds, held_out);
 }
 
@@ -517,10 +511,8 @@ void ModelRegistry::restore_publish(State& state,
   Entry& entry = state.models[persisted.info.name];
   Version version;
   version.info = persisted.info;
-  api::ModelHandleOptions handle_opts;
-  handle_opts.cache_capacity = persisted.cache_capacity;
-  version.handle = std::make_shared<const api::ModelHandle>(
-      std::move(persisted.model), handle_opts);
+  version.handle =
+      std::make_shared<const api::ModelHandle>(std::move(persisted.model));
   entry.next_version =
       std::max(entry.next_version, version.info.version + 1);
   entry.history.push_back(std::move(version));
@@ -537,10 +529,8 @@ void ModelRegistry::restore_quarantine(State& state,
   ++state.generation;
   QVersion q;
   q.info = persisted.info;
-  api::ModelHandleOptions handle_opts;
-  handle_opts.cache_capacity = persisted.cache_capacity;
-  q.handle = std::make_shared<const api::ModelHandle>(
-      std::move(persisted.model), handle_opts);
+  q.handle =
+      std::make_shared<const api::ModelHandle>(std::move(persisted.model));
   q.report = std::move(report);
   Entry& entry = state.models[q.info.name];
   entry.next_version = std::max(entry.next_version, q.info.version + 1);
@@ -651,9 +641,7 @@ std::string ModelRegistry::serialize_state_locked(const State& state) const {
     for (const Version& version : entry.history) {
       write_persisted_version(
           payload,
-          PersistedVersion{version.info,
-                           version.handle->options().cache_capacity,
-                           version.handle->model()});
+          PersistedVersion{version.info, version.handle->model()});
     }
   }
   // Quarantine block (appended so snapshots from before the verification
@@ -664,9 +652,7 @@ std::string ModelRegistry::serialize_state_locked(const State& state) const {
     payload.u64(versions.size());
     for (const auto& [version, q] : versions) {
       write_persisted_version(
-          payload, PersistedVersion{q.info,
-                                    q.handle->options().cache_capacity,
-                                    q.handle->model()});
+          payload, PersistedVersion{q.info, q.handle->model()});
       write_verification_report(payload, q.report);
     }
   }
@@ -799,10 +785,8 @@ api::Expected<std::unique_ptr<ModelRegistry>> ModelRegistry::open(
           PersistedVersion persisted = read_persisted_version(in);
           Version loaded;
           loaded.info = persisted.info;
-          api::ModelHandleOptions handle_opts;
-          handle_opts.cache_capacity = persisted.cache_capacity;
           loaded.handle = std::make_shared<const api::ModelHandle>(
-              std::move(persisted.model), handle_opts);
+              std::move(persisted.model));
           entry.history.push_back(std::move(loaded));
         }
         restored->models[name] = std::move(entry);

@@ -33,7 +33,7 @@
 /// ```
 ///
 /// The registry owns names and history; the engine (serving_engine.hpp)
-/// owns dispatch and cache budgets; the fit pipeline (async_fitter.hpp)
+/// owns dispatch; the fit pipeline (async_fitter.hpp)
 /// feeds new versions in from the background.
 
 #pragma once
@@ -63,7 +63,7 @@ class FaultInjector;
 namespace mfti::serving {
 
 /// Immutable serving snapshot: queries on a snapshot are unaffected by
-/// later publishes (the cache behind the const interface stays live).
+/// later publishes.
 using ModelSnapshot = std::shared_ptr<const api::ModelHandle>;
 
 /// Descriptive record of one published version.
@@ -198,7 +198,6 @@ class ModelRegistry {
   /// Wrap a successful fit in a `ModelHandle` and publish it, carrying the
   /// report's algorithm and timing into the metadata.
   PublishResult publish(const std::string& name, const api::FitReport& report,
-                        api::ModelHandleOptions handle_opts = {},
                         const sampling::SampleSet* held_out = nullptr);
 
   /// The live snapshot of `name`, or nullptr when unknown. Lock-free;
@@ -248,16 +247,14 @@ class ModelRegistry {
   /// Live-version metadata for every model, sorted by name. Lock-free.
   std::vector<ModelInfo> list() const;
 
-  /// Live snapshots for every model, sorted by name (the budget/stats
-  /// sweep of the serving engine). Lock-free.
+  /// Live snapshots for every model, sorted by name. Lock-free.
   std::vector<VersionedModel> live_models() const;
 
   std::size_t size() const;
 
   /// Monotonic counter bumped by every mutation (publish, rollback,
-  /// remove). Lets observers — e.g. the engine's budget partitioner —
-  /// skip re-scanning an unchanged live set. Starts at 1 and is
-  /// process-local (not persisted). Lock-free.
+  /// remove). Lets observers skip re-scanning an unchanged live set.
+  /// Starts at 1 and is process-local (not persisted). Lock-free.
   std::uint64_t generation() const;
 
   /// True when this registry journals its mutations (built by `open`).

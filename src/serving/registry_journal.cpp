@@ -60,14 +60,14 @@ ModelInfo read_model_info(io::ByteReader& in) {
 void write_persisted_version(io::ByteWriter& out,
                              const PersistedVersion& version) {
   write_model_info(out, version.info);
-  out.u64(version.cache_capacity);
+  out.u64(io::kReservedModelWord);
   io::write_system(out, version.model);
 }
 
 PersistedVersion read_persisted_version(io::ByteReader& in) {
   PersistedVersion version;
   version.info = read_model_info(in);
-  version.cache_capacity = static_cast<std::size_t>(in.u64());
+  in.u64();  // io::kReservedModelWord
   version.model = io::read_system(in);
   return version;
 }

@@ -68,7 +68,6 @@ inline constexpr std::uint32_t kSectionRegistry =
 /// recreate the `ModelHandle` and its metadata exactly.
 struct PersistedVersion {
   ModelInfo info;
-  std::size_t cache_capacity = 0;  ///< the handle's serving option
   ss::DescriptorSystem model;
 };
 

@@ -2,7 +2,7 @@
 /// \brief Umbrella header for the multi-model serving subsystem:
 /// `ModelRegistry` (named, versioned snapshots, optional write-ahead
 /// durability) + `RegistryJournal` (the journal behind `open`) +
-/// `ServingEngine` (shared pool, batch routing, global cache budget) +
+/// `ServingEngine` (shared pool, batch routing) +
 /// `AsyncFitter` (background fit queue with auto-publish). Builds on
 /// `api::` — see docs/architecture.md.
 

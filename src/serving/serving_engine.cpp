@@ -1,244 +1,37 @@
 #include "serving/serving_engine.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
 #include <functional>
-#include <limits>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <utility>
 
-#include <cstdio>
-#include <cstdlib>
-
-#include "linalg/lu.hpp"
+#include "linalg/matrix.hpp"
 
 namespace mfti::serving {
 
 namespace {
 
-void env_size_override(const char* name, std::size_t* value) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0') {
-    std::fprintf(stderr,
-                 "[mfti.serving] malformed %s='%s' (want a non-negative "
-                 "integer); keeping the default %zu\n",
-                 name, env, *value);
-    return;
+/// Bitwise identity of an evaluation point — what in-batch deduplication
+/// means by "the same point".
+struct PointHash {
+  std::size_t operator()(const la::Complex& s) const {
+    const std::size_t h_re = std::hash<la::Real>{}(s.real());
+    const std::size_t h_im = std::hash<la::Real>{}(s.imag());
+    return h_re ^ (h_im + 0x9e3779b97f4a7c15ull + (h_re << 6) + (h_re >> 2));
   }
-  *value = static_cast<std::size_t>(parsed);
-}
-
-void env_fraction_override(const char* name, double* value) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return;
-  char* end = nullptr;
-  const double parsed = std::strtod(env, &end);
-  if (end == env || *end != '\0' || !(parsed >= 0.0 && parsed <= 1.0)) {
-    std::fprintf(stderr,
-                 "[mfti.serving] malformed %s='%s' (want a number in "
-                 "[0, 1]); keeping the default %g\n",
-                 name, env, *value);
-    return;
-  }
-  *value = parsed;
-}
+};
 
 }  // namespace
-
-ServingEngineOptions ServingEngineOptions::from_env() {
-  ServingEngineOptions opts;
-  env_size_override("MFTI_CACHE_BUDGET_BYTES", &opts.cache_memory_budget);
-  env_fraction_override("MFTI_CACHE_FLOOR_FRACTION",
-                        &opts.cache_floor_fraction);
-  env_fraction_override("MFTI_CACHE_EWMA_ALPHA", &opts.demand_ewma_alpha);
-  env_size_override("MFTI_CACHE_REPARTITION_INTERVAL",
-                    &opts.repartition_interval);
-  return opts;
-}
-
-/// Budget bookkeeping shared with the hooks installed on the handles. The
-/// ledger outlives the engine through the hooks' shared_ptr copies; after
-/// the engine dies the allowances freeze at their last values. Lock order:
-/// a handle's cache mutex may be held when the hook takes `mutex` — never
-/// call into a handle while holding `mutex` (`bytes_per_entry` is
-/// lock-free and allowed).
-struct ServingEngine::BudgetLedger {
-  struct Slot {
-    /// Allowed cache entries. Handles without a slot (old versions still
-    /// held by in-flight queries, foreign handles) are unconstrained, as
-    /// is a slot created by demand recording before the next partition.
-    std::size_t allowance = std::numeric_limits<std::size_t>::max();
-    /// Byte share assigned at the last partition (observability).
-    std::size_t share_bytes = 0;
-    /// EWMA of unique evaluations per partition window.
-    double demand = 0.0;
-    /// Unique evaluations since the last partition (folded into `demand`
-    /// and reset by the partitioner).
-    std::uint64_t window = 0;
-  };
-
-  std::mutex mutex;
-  std::unordered_map<const api::ModelHandle*, Slot> slots;
-  /// Registry generation the partition was last computed for (0 = never).
-  std::uint64_t partitioned_for = 0;
-  /// Sum of all slots' windows; triggers interval-based re-partitioning.
-  std::uint64_t window_total = 0;
-  /// Evaluations answered by joining an in-flight computation. Atomic so
-  /// the hot path and `coalesced_total()` never touch `mutex`.
-  std::atomic<std::uint64_t> coalesced{0};
-
-  std::size_t allowance_for(const api::ModelHandle* handle) {
-    std::lock_guard<std::mutex> lock(mutex);
-    const auto it = slots.find(handle);
-    return it == slots.end() ? std::numeric_limits<std::size_t>::max()
-                             : it->second.allowance;
-  }
-};
-
-/// The cross-batch coalescing map: one cell per (handle, point) currently
-/// being factored anywhere in the engine. The first task to claim a key
-/// is the leader and computes inline — a cell therefore always has an
-/// actively running owner, so followers can never wait on work that has
-/// not been scheduled (no deadlock, even on a saturated pool).
-struct ServingEngine::Inflight {
-  struct Cell {
-    std::mutex m;
-    std::condition_variable cv;
-    bool done = false;
-    la::CMat value;
-    std::optional<api::Status> error;
-  };
-  struct Key {
-    const api::ModelHandle* handle;
-    la::Complex point;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const {
-      const std::size_t h = std::hash<const void*>{}(key.handle);
-      return api::PencilKeyHash{}(key.point) ^
-             (h + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
-    }
-  };
-
-  std::mutex mutex;
-  std::unordered_map<Key, std::shared_ptr<Cell>, KeyHash> cells;
-};
 
 ServingEngine::ServingEngine(ModelRegistry& registry,
                              ServingEngineOptions opts)
     : registry_(registry),
-      opts_(opts),
       pool_(opts.workers == 0 ? parallel::hardware_threads() - 1
-                              : opts.workers),
-      ledger_(std::make_shared<BudgetLedger>()),
-      inflight_(std::make_unique<Inflight>()) {}
-
-ServingEngine::~ServingEngine() = default;
-
-void ServingEngine::maybe_enforce_cache_budget() const {
-  if (opts_.cache_memory_budget == 0) return;
-  // The insert-time hooks keep an unchanged live set within its shares;
-  // re-partitioning is needed after a publish/rollback/remove, or once
-  // enough demand accumulated that the shares may have drifted.
-  const std::uint64_t generation = registry_.generation();
-  {
-    std::lock_guard<std::mutex> lock(ledger_->mutex);
-    const bool stale = ledger_->partitioned_for != generation;
-    const bool window_due =
-        opts_.repartition_interval != 0 &&
-        ledger_->window_total >= opts_.repartition_interval;
-    if (!stale && !window_due) return;
-  }
-  enforce_cache_budget();
-}
-
-void ServingEngine::enforce_cache_budget() const {
-  if (opts_.cache_memory_budget == 0) return;
-  const std::uint64_t generation = registry_.generation();
-  const auto live = registry_.live_models();
-  // A handle published under several names serves them all from one cache;
-  // budget it once.
-  std::vector<const api::ModelHandle*> handles;
-  std::vector<ModelSnapshot> snapshots;
-  for (const auto& model : live) {
-    const api::ModelHandle* raw = model.handle.get();
-    if (std::find(handles.begin(), handles.end(), raw) == handles.end()) {
-      handles.push_back(raw);
-      snapshots.push_back(model.handle);
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(ledger_->mutex);
-    // Drop slots of handles no longer live (a republished model gets a
-    // fresh handle and re-warms from its floor share), then fold each
-    // observation window into the demand EWMA.
-    for (auto it = ledger_->slots.begin(); it != ledger_->slots.end();) {
-      if (std::find(handles.begin(), handles.end(), it->first) ==
-          handles.end()) {
-        it = ledger_->slots.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    const double alpha = std::clamp(opts_.demand_ewma_alpha, 0.0, 1.0);
-    double total_demand = 0.0;
-    for (const api::ModelHandle* handle : handles) {
-      BudgetLedger::Slot& slot = ledger_->slots[handle];
-      slot.demand = alpha * static_cast<double>(slot.window) +
-                    (1.0 - alpha) * slot.demand;
-      slot.window = 0;
-      total_demand += slot.demand;
-    }
-    ledger_->window_total = 0;
-    if (!handles.empty()) {
-      // Equal floor shares keep every model servable; the rest follows
-      // demand. total_demand == 0 (no traffic yet) splits the remainder
-      // equally, reproducing the exact equal-share partition.
-      const std::size_t budget = opts_.cache_memory_budget;
-      const double floor_fraction =
-          std::clamp(opts_.cache_floor_fraction, 0.0, 1.0);
-      const std::size_t floor_each = static_cast<std::size_t>(
-          static_cast<double>(budget) * floor_fraction /
-          static_cast<double>(handles.size()));
-      const std::size_t remaining = budget - floor_each * handles.size();
-      for (const api::ModelHandle* handle : handles) {
-        BudgetLedger::Slot& slot = ledger_->slots[handle];
-        std::size_t share = floor_each;
-        share += total_demand > 0.0
-                     ? static_cast<std::size_t>(
-                           static_cast<double>(remaining) *
-                           (slot.demand / total_demand))
-                     : remaining / handles.size();
-        slot.share_bytes = share;
-        const std::size_t bytes =
-            std::max<std::size_t>(1, handle->bytes_per_entry());
-        slot.allowance = share / bytes;
-      }
-    }
-    ledger_->partitioned_for = generation;
-  }
-  // Install hooks and trim outside the ledger lock (the handle's cache
-  // mutex is the outer lock of the hook's path).
-  for (const ModelSnapshot& snapshot : snapshots) {
-    snapshot->set_cache_budget_hook(
-        [ledger = ledger_, raw = snapshot.get()] {
-          return ledger->allowance_for(raw);
-        });
-    snapshot->enforce_cache_budget();
-  }
-}
+                              : opts.workers) {}
 
 std::vector<api::Expected<EvalResponse>> ServingEngine::evaluate(
     const std::vector<EvalRequest>& batch) const {
-  maybe_enforce_cache_budget();
-
   struct Prepared {
     ModelSnapshot handle;
     std::vector<la::Complex> converted;  // freqs_hz -> points, when used
@@ -289,7 +82,7 @@ std::vector<api::Expected<EvalResponse>> ServingEngine::evaluate(
     }
     const std::vector<la::Complex>& points =
         request.freqs_hz.empty() ? request.points : p.converted;
-    std::unordered_map<la::Complex, std::size_t, api::PencilKeyHash> seen;
+    std::unordered_map<la::Complex, std::size_t, PointHash> seen;
     seen.reserve(points.size());
     p.scatter.reserve(points.size());
     for (const la::Complex& s : points) {
@@ -305,110 +98,27 @@ std::vector<api::Expected<EvalResponse>> ServingEngine::evaluate(
     }
   }
 
-  // Record this batch's unique-evaluation counts as demand — the signal
-  // the next partition weights shares by. Counters only; no handle call
-  // is made under the ledger lock.
-  {
-    std::lock_guard<std::mutex> lock(ledger_->mutex);
-    for (const Prepared& p : prepared) {
-      if (!p.handle || p.unique.empty()) continue;
-      ledger_->slots[p.handle.get()].window += p.unique.size();
-      ledger_->window_total += p.unique.size();
-    }
-  }
-
   // One shared fan-out for the whole batch: distinct (model, point) pairs
   // across every request claim pool slots together.
   pool_.run_batch(
       tasks.size(), pool_.worker_count() + 1, [&](std::size_t t) {
         Prepared& p = prepared[tasks[t].request];
         const std::size_t u = tasks[t].unique;
-        const auto& cancel = batch[tasks[t].request].cancel;
-        if (cancel && cancel->cancelled()) {
-          // Deadline expired mid-batch: skip the factorization/solve so an
-          // abandoned request stops consuming pool time.
+        const EvalRequest& request = batch[tasks[t].request];
+        if (request.cancel && request.cancel->cancelled()) {
+          // Deadline expired mid-batch: skip the solve so an abandoned
+          // request stops consuming pool time.
           p.errors[u] = api::Status::cancelled("request cancelled");
           return;
         }
-        // Cross-batch coalescing: identical (handle, point) work already
-        // in flight from a *concurrent* evaluate call is joined, not
-        // repeated. Within one batch the per-request dedup above means
-        // every task claims a distinct key and leads itself.
-        const Inflight::Key key{p.handle.get(), p.unique[u]};
-        std::shared_ptr<Inflight::Cell> cell;
-        bool leader = false;
-        {
-          std::lock_guard<std::mutex> lock(inflight_->mutex);
-          const auto [it, inserted] = inflight_->cells.try_emplace(key);
-          if (inserted) it->second = std::make_shared<Inflight::Cell>();
-          leader = inserted;
-          cell = it->second;
-        }
-        obs::TraceContext* trace = batch[tasks[t].request].trace.get();
-        if (leader) {
-          la::CMat value;
-          std::optional<api::Status> error;
-          try {
-            if (trace == nullptr) {
-              value = p.handle->evaluate(p.unique[u]);
-            } else {
-              // The breakdown splits the evaluation into its spans; the
-              // solve starts where the factorization (or cache probe)
-              // ended, so the two tile the task on the trace timeline.
-              api::EvalBreakdown breakdown;
-              const auto task_start = obs::TraceContext::Clock::now();
-              value = p.handle->evaluate(p.unique[u], &breakdown);
-              const double offset = trace->offset_of(task_start);
-              trace->record_offset(breakdown.cache_hit
-                                       ? obs::Stage::CacheHit
-                                       : obs::Stage::Factorize,
-                                   offset, breakdown.factor_seconds);
-              trace->record_offset(obs::Stage::Solve,
-                                   offset + breakdown.factor_seconds,
-                                   breakdown.solve_seconds);
-            }
-          } catch (const la::SingularMatrixError& e) {
-            error = api::Status::numerical_error(e.what());
-          } catch (const std::exception& e) {
-            error = api::Status::internal(e.what());
-          }
-          {
-            std::lock_guard<std::mutex> lock(cell->m);
-            cell->value = value;
-            cell->error = error;
-            cell->done = true;
-          }
-          cell->cv.notify_all();
-          {
-            // Retire the cell so later queries recompute (or hit the
-            // pencil cache) instead of reading a stale result forever.
-            std::lock_guard<std::mutex> lock(inflight_->mutex);
-            const auto it = inflight_->cells.find(key);
-            if (it != inflight_->cells.end() && it->second == cell) {
-              inflight_->cells.erase(it);
-            }
-          }
-          if (error) {
-            p.errors[u] = std::move(*error);
-          } else {
-            p.values[u] = std::move(value);
-          }
-        } else {
-          ledger_->coalesced.fetch_add(1, std::memory_order_relaxed);
-          const auto wait_start = trace != nullptr
-                                      ? obs::TraceContext::Clock::now()
-                                      : obs::TraceContext::Clock::time_point{};
-          std::unique_lock<std::mutex> lock(cell->m);
-          cell->cv.wait(lock, [&] { return cell->done; });
-          if (trace != nullptr) {
-            trace->record(obs::Stage::CoalesceWait, wait_start,
-                          obs::TraceContext::Clock::now());
-          }
-          if (cell->error) {
-            p.errors[u] = *cell->error;
-          } else {
-            p.values[u] = cell->value;
-          }
+        obs::TraceContext::Scoped solve_span(request.trace.get(),
+                                             obs::Stage::Solve);
+        try {
+          p.values[u] = p.handle->evaluate(p.unique[u]);
+        } catch (const la::SingularMatrixError& e) {
+          p.errors[u] = api::Status::numerical_error(e.what());
+        } catch (const std::exception& e) {
+          p.errors[u] = api::Status::internal(e.what());
         }
       });
 
@@ -445,63 +155,6 @@ std::vector<api::Expected<EvalResponse>> ServingEngine::evaluate(
 api::Expected<EvalResponse> ServingEngine::evaluate(
     const EvalRequest& request) const {
   return std::move(evaluate(std::vector<EvalRequest>{request}).front());
-}
-
-api::Expected<EvalResponse> ServingEngine::sweep(
-    const std::string& model, const std::vector<la::Real>& freqs_hz) const {
-  return evaluate(EvalRequest::at_hz(model, freqs_hz));
-}
-
-ServingStats ServingEngine::stats() const {
-  ServingStats out;
-  out.memory_budget = opts_.cache_memory_budget;
-  out.coalesced = ledger_->coalesced.load(std::memory_order_relaxed);
-  // Copy the slot views first: the ledger lock must never be held while
-  // calling a handle (whose cache mutex is the outer lock of the hook).
-  struct SlotView {
-    std::size_t share_bytes;
-    double demand;
-  };
-  std::unordered_map<const api::ModelHandle*, SlotView> views;
-  {
-    std::lock_guard<std::mutex> lock(ledger_->mutex);
-    views.reserve(ledger_->slots.size());
-    for (const auto& [handle, slot] : ledger_->slots) {
-      views.emplace(handle, SlotView{slot.share_bytes, slot.demand});
-    }
-  }
-  // Aggregate dedups by handle, matching the budget partition: a handle
-  // published under several names has one cache and is counted once, so
-  // memory_bytes is comparable to memory_budget. per_model keeps a row
-  // per name (live_models is name-sorted) so aliases stay visible.
-  std::vector<const api::ModelHandle*> counted;
-  for (const auto& model : registry_.live_models()) {
-    ++out.models;
-    ModelServingStats row;
-    row.name = model.info.name;
-    row.version = model.info.version;
-    row.cache = model.handle->cache_stats();
-    row.memory_bytes = model.handle->memory_footprint();
-    if (const auto it = views.find(model.handle.get()); it != views.end()) {
-      row.share_bytes = it->second.share_bytes;
-      row.demand_ewma = it->second.demand;
-    }
-    const api::ModelHandle* raw = model.handle.get();
-    if (std::find(counted.begin(), counted.end(), raw) == counted.end()) {
-      counted.push_back(raw);
-      out.cache.hits += row.cache.hits;
-      out.cache.misses += row.cache.misses;
-      out.cache.evictions += row.cache.evictions;
-      out.cache.entries += row.cache.entries;
-      out.memory_bytes += row.memory_bytes;
-    }
-    out.per_model.push_back(std::move(row));
-  }
-  return out;
-}
-
-std::uint64_t ServingEngine::coalesced_total() const {
-  return ledger_->coalesced.load(std::memory_order_relaxed);
 }
 
 }  // namespace mfti::serving

@@ -8,28 +8,16 @@
 /// `api::points_from_freqs_hz`, the single source of `s = j 2 pi f`).
 /// The engine resolves the model's live snapshot once per request (so a
 /// response can never mix versions — a lock-free registry read),
-/// deduplicates identical points within the batch, coalesces identical
-/// `(model, point)` work still in flight from *other* concurrent
-/// `evaluate` calls, fans the distinct evaluations out over its own
-/// `parallel::ThreadPool` — shared across every model it serves — and
-/// scatters the results back in request order.
-///
-/// Memory governance: `ServingEngineOptions::cache_memory_budget` is a
-/// global cap (bytes) on the factorization caches of all live models
-/// combined. The engine partitions it into per-model byte shares weighted
-/// by observed demand (an EWMA of each model's unique evaluations), with
-/// an equal floor share so cold models stay servable; with no observed
-/// demand the split degenerates to exactly equal shares. It installs a
-/// `CacheBudgetHook` on each live handle so inserts respect the share
-/// immediately, and trims models already above their share — over-budget
-/// models are the only ones evicted. `stats()` surfaces aggregated and
-/// per-model telemetry (hits, misses, footprint, share, demand) so the
-/// partitioner is observable.
+/// deduplicates identical points within the batch, fans the distinct
+/// evaluations out over its own `parallel::ThreadPool` — shared across
+/// every model it serves — and scatters the results back in request order.
+/// Each distinct point is one O(n^2 m) solve on the handle's
+/// Hessenberg–triangular form; nothing is cached between requests.
 ///
 /// ```cpp
 /// serving::ModelRegistry registry;
 /// registry.publish("pdn", *report);
-/// serving::ServingEngine engine(registry, {.cache_memory_budget = 64 << 20});
+/// serving::ServingEngine engine(registry);
 /// auto response = engine.evaluate(serving::EvalRequest::at_hz("pdn", grid));
 /// ```
 
@@ -56,32 +44,6 @@ struct ServingEngineOptions {
   /// participates, so n workers give n+1-way evaluation). 0 means
   /// `hardware_threads() - 1`.
   std::size_t workers = 0;
-  /// Global cap, in bytes, on the pencil caches of all live models
-  /// combined. 0 disables budget enforcement (each handle falls back to
-  /// its own `cache_capacity`).
-  std::size_t cache_memory_budget = 0;
-  /// Fraction of the budget handed out as equal per-model floor shares so
-  /// a cold model always keeps a servable cache; the remainder is split
-  /// proportionally to the per-model demand EWMA. Clamped to [0, 1].
-  /// With no observed demand the whole budget degenerates to exactly
-  /// equal shares.
-  double cache_floor_fraction = 0.25;
-  /// Smoothing of the demand EWMA folded at each re-partition:
-  /// `demand <- alpha * window + (1 - alpha) * demand`, where `window`
-  /// counts the model's unique evaluations since the previous partition.
-  /// Clamped to [0, 1]; larger adapts faster, smaller remembers longer.
-  double demand_ewma_alpha = 0.3;
-  /// Also re-partition after this many unique evaluations (across all
-  /// models) even when the registry is unchanged, so shares track demand
-  /// shifts on a stable fleet. 0 re-partitions only on registry changes.
-  std::size_t repartition_interval = 256;
-
-  /// Defaults overridden by the `MFTI_CACHE_*` environment knobs —
-  /// `MFTI_CACHE_BUDGET_BYTES`, `MFTI_CACHE_FLOOR_FRACTION`,
-  /// `MFTI_CACHE_EWMA_ALPHA`, `MFTI_CACHE_REPARTITION_INTERVAL` —
-  /// (malformed values are diagnosed on stderr and ignored) so a deployed
-  /// daemon tunes the cache economics without a rebuild.
-  static ServingEngineOptions from_env();
 };
 
 /// One routed evaluation of model `model`. Exactly one of `points`
@@ -103,11 +65,10 @@ struct EvalRequest {
   /// unchanged when no token is set.
   std::optional<api::CancellationToken> cancel;
   /// Optional request tracing (owned by the HTTP front's
-  /// `obs::TraceCollector`). When set, the engine records per-stage spans
-  /// into it: `lookup` around the registry acquire, `cache_hit` or
-  /// `factorize` plus `solve` from the handle's `api::EvalBreakdown`, and
-  /// `coalesce_wait` when a task joins another batch's in-flight work.
-  /// Null costs one pointer check per request and per task.
+  /// `obs::TraceContext`). When set, the engine records per-stage spans
+  /// into it: `lookup` around the registry acquire and one `solve` per
+  /// distinct point. Null costs one pointer check per request and per
+  /// task.
   std::shared_ptr<obs::TraceContext> trace;
 
   EvalRequest() = default;
@@ -146,40 +107,11 @@ struct EvalResponse {
   std::size_t unique_points = 0;
 };
 
-/// One live model's serving-side telemetry (a `stats()` row).
-struct ModelServingStats {
-  std::string name;
-  std::uint64_t version = 0;
-  api::CacheStats cache;          ///< this handle's hits/misses/evictions
-  std::size_t memory_bytes = 0;   ///< current pencil-cache footprint
-  /// Byte share of the global budget at the last partition (0 when
-  /// budgeting is off or the model was published after it).
-  std::size_t share_bytes = 0;
-  /// Demand EWMA driving the share (unique evaluations per partition
-  /// window, smoothed); updated when the budget is re-partitioned.
-  double demand_ewma = 0.0;
-};
-
-/// Aggregated serving-side cache telemetry across all live models. The
-/// aggregate counts a handle published under several names once;
-/// `per_model` has one row per *name* (sorted), so aliases are visible.
-struct ServingStats {
-  api::CacheStats cache;  ///< hits/misses/evictions/entries, summed
-  std::size_t models = 0;
-  std::size_t memory_bytes = 0;   ///< summed `memory_footprint()`
-  std::size_t memory_budget = 0;  ///< the configured global cap (0 = off)
-  /// Evaluations answered by joining another batch's in-flight
-  /// computation instead of repeating it (process lifetime).
-  std::uint64_t coalesced = 0;
-  std::vector<ModelServingStats> per_model;
-};
-
 class ServingEngine {
  public:
   /// `registry` must outlive the engine.
   explicit ServingEngine(ModelRegistry& registry,
                          ServingEngineOptions opts = {});
-  ~ServingEngine();
 
   ServingEngine(const ServingEngine&) = delete;
   ServingEngine& operator=(const ServingEngine&) = delete;
@@ -194,47 +126,11 @@ class ServingEngine {
   std::vector<api::Expected<EvalResponse>> evaluate(
       const std::vector<EvalRequest>& batch) const;
 
-  /// `H(j 2 pi f)` of `model` over a frequency grid (Hz). Thin shim over
-  /// the unified vocabulary, kept for source compatibility; bit-identical
-  /// to the replacement.
-  [[deprecated(
-      "use evaluate(EvalRequest::at_hz(model, freqs_hz)) — the unified "
-      "eval vocabulary")]]
-  api::Expected<EvalResponse> sweep(const std::string& model,
-                                    const std::vector<la::Real>& freqs_hz)
-      const;
-
-  /// Re-partition the global budget across the currently live models by
-  /// their demand EWMA, (re)install the insert-time hooks and trim
-  /// over-budget caches. The request path runs this lazily — when the
-  /// registry's generation changed since the last partition, or every
-  /// `repartition_interval` unique evaluations; this method forces it
-  /// unconditionally.
-  void enforce_cache_budget() const;
-
-  /// Aggregated and per-model cache counters, footprints and shares.
-  ServingStats stats() const;
-
-  /// Lifetime count of evaluations answered by joining another batch's
-  /// in-flight computation. Cheaper than `stats()` (one atomic load; no
-  /// handle locks), so pollable from tests and tight loops.
-  std::uint64_t coalesced_total() const;
-
   std::size_t worker_count() const { return pool_.worker_count(); }
 
  private:
-  struct BudgetLedger;
-  struct Inflight;
-
-  /// Re-partition only if the registry changed since the last partition
-  /// or enough demand accumulated.
-  void maybe_enforce_cache_budget() const;
-
   ModelRegistry& registry_;
-  ServingEngineOptions opts_;
   mutable parallel::ThreadPool pool_;
-  std::shared_ptr<BudgetLedger> ledger_;
-  std::unique_ptr<Inflight> inflight_;
 };
 
 }  // namespace mfti::serving

@@ -5,11 +5,13 @@
 ///
 /// Sweeps are the second hot path of the MFTI pipeline (every error metric
 /// and every Bode/Table reproduction evaluates hundreds of frequency
-/// points). `BatchEvaluator` promotes the system to complex once, factors
-/// `(sE - A)` exactly once per frequency point and solves all port columns
-/// of `B` with that single factorisation; independent frequency points fan
-/// out across threads under a parallel `ExecutionPolicy` with per-point
-/// results identical to the serial sweep.
+/// points), and per-point evaluation is the serving hot path.
+/// `BatchEvaluator` reduces the pencil once to Hessenberg–triangular form
+/// and then costs O(n^2 m) per point instead of a dense O(n^3) LU;
+/// independent frequency points fan out across threads under a parallel
+/// `ExecutionPolicy` with per-point results identical to the serial sweep.
+/// `transfer_function` stays the one-shot dense-LU reference the evaluator
+/// is checked against.
 
 #pragma once
 
@@ -20,30 +22,36 @@
 
 namespace mfti::ss {
 
-/// Evaluate `H(s)` at one complex frequency point.
+/// Evaluate `H(s)` at one complex frequency point by a dense LU of
+/// `(sE - A)` — the reference `BatchEvaluator` is tested against.
 /// \throws la::SingularMatrixError when `s` is (numerically) a pole.
 CMat transfer_function(const DescriptorSystem& sys, Complex s);
 CMat transfer_function(const ComplexDescriptorSystem& sys, Complex s);
 
-/// Reusable frequency-response evaluator: one complex promotion per system,
-/// one LU factorisation of `(sE - A)` per evaluation point, all `B` columns
-/// solved together.
+/// Reusable frequency-response evaluator over a Hessenberg–triangular form
+/// of the pencil.
+///
+/// Construction reduces `(E, A)` once with orthogonal transforms (unitary
+/// for a complex system) `Q` and `Z`: `Q^* A Z = H` is upper Hessenberg,
+/// `Q^* E Z = T` upper triangular, and `B~ = Q^* B`, `C~ = C Z`. This is
+/// the direct first stage of QZ: it needs no inverse of `E`, so a singular
+/// `E` (infinite eigenvalues, the usual case for Loewner realizations)
+/// needs no special handling. Each point `s` then solves the Hessenberg
+/// system `(sT - H) X = B~` by Gaussian elimination with adjacent-row
+/// pivoting and returns `C~ X + D`: O(n^2 m) per point.
 class BatchEvaluator {
  public:
-  /// \throws std::invalid_argument on inconsistent system dimensions.
+  /// O(n^3) once. \throws std::invalid_argument on inconsistent system
+  /// dimensions.
   explicit BatchEvaluator(const DescriptorSystem& sys);
-  explicit BatchEvaluator(ComplexDescriptorSystem sys);
+  explicit BatchEvaluator(const ComplexDescriptorSystem& sys);
 
-  std::size_t order() const { return sys_.order(); }
-  std::size_t num_inputs() const { return sys_.num_inputs(); }
-  std::size_t num_outputs() const { return sys_.num_outputs(); }
+  std::size_t order() const { return h_.rows(); }
+  std::size_t num_inputs() const { return b_.cols(); }
+  std::size_t num_outputs() const { return c_.rows(); }
 
-  /// The promoted complex system evaluations run against — lets wrappers
-  /// (e.g. `api::ModelHandle`) assemble `(sE - A)` pencils from the same
-  /// one-time complex promotion.
-  const ComplexDescriptorSystem& system() const { return sys_; }
-
-  /// `H(s)` at one point. \throws la::SingularMatrixError at a pole.
+  /// `H(s)` at one point. \throws la::SingularMatrixError when a pivot of
+  /// `(sT - H)` is exactly zero (`s` is a pole).
   CMat evaluate(Complex s) const;
 
   /// `H(s)` at every point, parallel over points under `exec`.
@@ -55,10 +63,15 @@ class BatchEvaluator {
                           const parallel::ExecutionPolicy& exec = {}) const;
 
  private:
-  ComplexDescriptorSystem sys_;
+  CMat h_;  ///< Q^* A Z, upper Hessenberg
+  CMat t_;  ///< Q^* E Z, upper triangular
+  CMat b_;  ///< Q^* B
+  CMat c_;  ///< C Z
+  CMat d_;
 };
 
-/// Evaluate `H(j 2 pi f)` for every frequency (Hz) in `freqs`.
+/// Evaluate `H(j 2 pi f)` for every frequency (Hz) in `freqs` through a
+/// `BatchEvaluator` of `sys`.
 std::vector<CMat> frequency_response(
     const DescriptorSystem& sys, const std::vector<Real>& freqs_hz,
     const parallel::ExecutionPolicy& exec = {});

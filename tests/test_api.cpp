@@ -1,8 +1,8 @@
 // Tests for the unified API (src/api): Status/Expected, SampleSet ingest
 // validation, the Fitter facade (strategy swap must reproduce each legacy
 // entry point bit-for-bit; error paths must come back as Status, never
-// exceptions), and the ModelHandle serving wrapper (cached factorizations,
-// LRU behaviour, concurrent queries).
+// exceptions), and the ModelHandle serving wrapper (parity with the
+// dense-LU reference on hard pencils, poles, concurrent queries).
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include "api/api.hpp"
 #include "core/mfti.hpp"
 #include "core/recursive_mfti.hpp"
+#include "hard_pencils.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sampling/grid.hpp"
 #include "sampling/sampler.hpp"
@@ -370,6 +371,10 @@ TEST(Fitter, RegisteredStrategyOverridesBuiltin) {
 
 // --- ModelHandle -------------------------------------------------------------
 
+// Served values against the dense-LU reference, on the first (evaluator
+// build) and later queries alike: a random stable system, then the pencils
+// a modal evaluation cannot serve (hard_pencils.hpp), each within 1e-12 of
+// the largest entry. Exactly at a pole the handle throws.
 TEST(ModelHandle, MatchesTransferFunctionColdAndWarm) {
   const auto sys = make_system(16, 3, 120);
   const api::ModelHandle handle(sys);
@@ -380,11 +385,20 @@ TEST(ModelHandle, MatchesTransferFunctionColdAndWarm) {
                 1e-12);
     }
   }
-  const auto stats = handle.cache_stats();
-  EXPECT_EQ(stats.misses, 9u);
-  EXPECT_EQ(stats.hits, 18u);
-  EXPECT_EQ(stats.entries, 9u);
-  EXPECT_EQ(stats.evictions, 0u);
+  for (const hard_pencils::Case& c : hard_pencils::cases()) {
+    const api::ModelHandle hard(c.sys);
+    for (int round = 0; round < 2; ++round) {
+      for (const Complex& s : api::points_from_freqs_hz(c.freqs_hz)) {
+        EXPECT_LE(hard_pencils::relative_diff(hard.evaluate(s),
+                                              ss::transfer_function(c.sys, s)),
+                  1e-12)
+            << c.name << " at s = " << s;
+      }
+    }
+  }
+  const api::ModelHandle one_pole(hard_pencils::one_pole_at_minus_two());
+  EXPECT_THROW(one_pole.evaluate(Complex(-2.0, 0.0)), la::SingularMatrixError);
+  EXPECT_NO_THROW(one_pole.evaluate(Complex(0.0, 1.0)));
 }
 
 TEST(ModelHandle, RepeatQueriesAreBitwiseStable) {
@@ -394,185 +408,6 @@ TEST(ModelHandle, RepeatQueriesAreBitwiseStable) {
   const CMat first = handle.evaluate(s);
   const CMat second = handle.evaluate(s);
   EXPECT_EQ(max_diff(first, second), 0.0);
-}
-
-TEST(ModelHandle, LruEvictsLeastRecentlyUsed) {
-  const auto sys = make_system(8, 2, 122);
-  api::ModelHandleOptions opts;
-  opts.cache_capacity = 2;
-  const api::ModelHandle handle(sys, opts);
-  handle.response_at(100.0);   // {100}
-  handle.response_at(200.0);   // {200, 100}
-  handle.response_at(100.0);   // {100, 200} - refresh
-  handle.response_at(300.0);   // {300, 100} - evicts 200
-  handle.response_at(100.0);   // hit
-  auto stats = handle.cache_stats();
-  EXPECT_EQ(stats.entries, 2u);
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.misses, 3u);
-
-  handle.clear_cache();
-  stats = handle.cache_stats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.hits, 0u);
-}
-
-TEST(ModelHandle, ZeroCapacityDisablesCaching) {
-  const auto sys = make_system(8, 2, 123);
-  api::ModelHandleOptions opts;
-  opts.cache_capacity = 0;
-  const api::ModelHandle handle(sys, opts);
-  const Complex s(0.0, 2.0 * M_PI * 500.0);
-  EXPECT_LE(max_diff(handle.evaluate(s), ss::transfer_function(sys, s)),
-            1e-12);
-  handle.evaluate(s);
-  const auto stats = handle.cache_stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(handle.memory_footprint(), 0u);
-}
-
-// cache_capacity = 0: every query refactors, including repeated points in
-// a parallel sweep, and results stay identical to the cached path.
-TEST(ModelHandle, ZeroCapacitySweepRefactorsEveryQuery) {
-  const auto sys = make_system(12, 2, 128);
-  api::ModelHandleOptions opts;
-  opts.cache_capacity = 0;
-  const api::ModelHandle uncached(sys, opts);
-  const api::ModelHandle cached(sys);
-
-  const auto base = sp::log_grid(10.0, 1e5, 7);
-  std::vector<double> freqs;
-  for (int round = 0; round < 4; ++round)
-    freqs.insert(freqs.end(), base.begin(), base.end());
-
-  const auto a = uncached.sweep(freqs, par::ExecutionPolicy::with_threads(4));
-  const auto b = cached.sweep(freqs);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i)
-    EXPECT_EQ(max_diff(a[i], b[i]), 0.0);
-  const auto stats = uncached.cache_stats();
-  EXPECT_EQ(stats.hits, 0u);      // nothing was ever served from cache
-  EXPECT_EQ(stats.misses, 0u);    // the cache path was never entered
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(cached.cache_stats().misses, base.size());
-}
-
-// Probes the exact LRU order through hit/miss counters: a refreshed entry
-// must be the survivor, the least-recently-used one the victim, at every
-// step of the access pattern.
-TEST(ModelHandle, LruEvictionOrderIsExact) {
-  const auto sys = make_system(8, 2, 129);
-  api::ModelHandleOptions opts;
-  opts.cache_capacity = 3;
-  const api::ModelHandle handle(sys, opts);
-
-  const auto expect_stats = [&](std::size_t hits, std::size_t misses,
-                                std::size_t evictions, const char* where) {
-    const auto stats = handle.cache_stats();
-    EXPECT_EQ(stats.hits, hits) << where;
-    EXPECT_EQ(stats.misses, misses) << where;
-    EXPECT_EQ(stats.evictions, evictions) << where;
-  };
-
-  handle.response_at(1.0);  // lru: {1}
-  handle.response_at(2.0);  // lru: {2 1}
-  handle.response_at(3.0);  // lru: {3 2 1}
-  expect_stats(0, 3, 0, "after cold fill");
-  handle.response_at(1.0);  // hit; lru: {1 3 2}
-  expect_stats(1, 3, 0, "refresh oldest");
-  handle.response_at(4.0);  // evicts 2; lru: {4 1 3}
-  expect_stats(1, 4, 1, "first eviction");
-  handle.response_at(2.0);  // miss (2 was the victim); evicts 3
-  expect_stats(1, 5, 2, "victim was LRU, not the refreshed entry");
-  handle.response_at(1.0);  // 1 survived both evictions: hit
-  handle.response_at(4.0);  // hit
-  handle.response_at(2.0);  // hit
-  expect_stats(4, 5, 2, "survivors are the recently used");
-  handle.response_at(3.0);  // miss: 3 was evicted above
-  expect_stats(4, 6, 3, "3 was evicted in step 6");
-  EXPECT_EQ(handle.cache_stats().entries, 3u);
-  EXPECT_EQ(handle.memory_footprint(), 3u * handle.bytes_per_entry());
-}
-
-// CacheStats invariants under concurrent mixed hit/miss load: more
-// distinct frequencies than capacity, many threads, interleaved repeats.
-// Counters must never lose an event and the cache must never exceed its
-// capacity, whatever the interleaving.
-TEST(ModelHandle, CacheStatsConsistentUnderConcurrentMixedLoad) {
-  const auto sys = make_system(14, 2, 130);
-  api::ModelHandleOptions opts;
-  opts.cache_capacity = 6;
-  const api::ModelHandle handle(sys, opts);
-
-  const auto freqs = sp::log_grid(10.0, 1e5, 16);  // > capacity
-  par::ThreadPool pool(4);
-  const std::size_t queries = 600;
-  std::atomic<int> mismatches{0};
-  std::vector<CMat> reference;
-  reference.reserve(freqs.size());
-  for (double f : freqs) {
-    reference.push_back(
-        ss::transfer_function(sys, Complex(0.0, 2.0 * M_PI * f)));
-  }
-  pool.run_batch(queries, 4, [&](std::size_t i) {
-    // Mixed pattern: clustered repeats (hits) interleaved with a rolling
-    // window over the full set (misses + evictions).
-    const std::size_t k = (i % 3 == 0) ? (i / 3) % freqs.size() : i % 4;
-    if (max_diff(handle.response_at(freqs[k]), reference[k]) > 1e-12) {
-      mismatches.fetch_add(1);
-    }
-  });
-  EXPECT_EQ(mismatches.load(), 0);
-
-  const auto stats = handle.cache_stats();
-  // Every query is exactly one hit or one miss.
-  EXPECT_EQ(stats.hits + stats.misses, queries);
-  // The cache can never exceed its capacity...
-  EXPECT_LE(stats.entries, 6u);
-  // ...and every miss either inserted (still cached or later evicted) or
-  // lost a concurrent factoring race (no insert). Hence:
-  EXPECT_LE(stats.entries + stats.evictions, stats.misses);
-  // At least the distinct points of the rolling window missed once.
-  EXPECT_GE(stats.misses, freqs.size());
-  EXPECT_GT(stats.hits, 0u);
-  EXPECT_GT(stats.evictions, 0u);
-}
-
-// The externally-owned budget hook caps inserts immediately and
-// enforce_cache_budget trims already-cached entries, evicting in LRU
-// order; removing the hook restores the handle's own capacity.
-TEST(ModelHandle, CacheBudgetHookCapsAndTrims) {
-  const auto sys = make_system(10, 2, 131);
-  const api::ModelHandle handle(sys);
-  for (double f : sp::log_grid(10.0, 1e5, 8)) handle.response_at(f);
-  ASSERT_EQ(handle.cache_stats().entries, 8u);
-
-  handle.set_cache_budget_hook([] { return std::size_t{3}; });
-  // Hook alone does not trim; the owner decides when.
-  EXPECT_EQ(handle.cache_stats().entries, 8u);
-  handle.enforce_cache_budget();
-  auto stats = handle.cache_stats();
-  EXPECT_EQ(stats.entries, 3u);
-  EXPECT_EQ(stats.evictions, 5u);
-
-  // Inserts now respect the budget without another enforce call.
-  for (double f : sp::log_grid(1e6, 1e7, 5)) handle.response_at(f);
-  EXPECT_LE(handle.cache_stats().entries, 3u);
-
-  // A zero budget serves uncached (miss counted, nothing stored).
-  handle.set_cache_budget_hook([] { return std::size_t{0}; });
-  handle.enforce_cache_budget();
-  handle.response_at(123.0);
-  stats = handle.cache_stats();
-  EXPECT_EQ(stats.entries, 0u);
-
-  // Removing the hook restores the handle's own capacity.
-  handle.set_cache_budget_hook({});
-  handle.response_at(456.0);
-  EXPECT_EQ(handle.cache_stats().entries, 1u);
 }
 
 TEST(ModelHandle, ServesFitReport) {
@@ -597,15 +432,13 @@ TEST(ModelHandle, SweepMatchesBatchEvaluator) {
     EXPECT_LE(max_diff(served[i], reference[i]), 1e-12);
 }
 
-// Concurrent serving: many threads hammer the same handle over a small
-// frequency set (guaranteeing cache hits and concurrent inserts/evictions).
-// Uses a directly constructed multi-worker pool like test_parallel so the
-// test is genuinely concurrent on any host.
+// Concurrent serving: many threads hammer a fresh handle, so the first
+// queries race to build its evaluator (one build, the others wait) and the
+// rest share it. Uses a directly constructed multi-worker pool like
+// test_parallel so the test is genuinely concurrent on any host.
 TEST(ModelHandle, ConcurrentQueriesAreConsistent) {
   const auto sys = make_system(18, 3, 126);
-  api::ModelHandleOptions opts;
-  opts.cache_capacity = 5;  // smaller than the frequency set: evict under load
-  const api::ModelHandle handle(sys, opts);
+  const api::ModelHandle handle(sys);
 
   const auto freqs = sp::log_grid(10.0, 1e5, 8);
   std::vector<CMat> reference;
@@ -624,14 +457,10 @@ TEST(ModelHandle, ConcurrentQueriesAreConsistent) {
     if (max_diff(h, reference[k]) > 1e-12) mismatches.fetch_add(1);
   });
   EXPECT_EQ(mismatches.load(), 0);
-  const auto stats = handle.cache_stats();
-  EXPECT_EQ(stats.hits + stats.misses, queries);
-  EXPECT_LE(stats.entries, 5u);
 }
 
-// Parallel sweep through the cache under an ExecutionPolicy, with repeated
-// frequencies: the cache must stay consistent and every point must match
-// the serial reference.
+// Parallel sweep under an ExecutionPolicy, with repeated frequencies:
+// every point must match the serial reference.
 TEST(ModelHandle, ParallelSweepWithRepeatsMatchesSerial) {
   const auto sys = make_system(16, 2, 127);
   const api::ModelHandle handle(sys);
@@ -646,5 +475,4 @@ TEST(ModelHandle, ParallelSweepWithRepeatsMatchesSerial) {
   ASSERT_EQ(served.size(), serial.size());
   for (std::size_t i = 0; i < served.size(); ++i)
     EXPECT_LE(max_diff(served[i], serial[i]), 1e-12);
-  EXPECT_EQ(handle.cache_stats().entries, base.size());
 }

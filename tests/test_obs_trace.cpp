@@ -2,8 +2,8 @@
 // ordering (including nested RAII scopes), the per-trace span cap, ring
 // eviction with preferential retention of slow traces, request-id
 // generation/truncation, the lock-free stage histograms, the environment
-// knobs, and the engine integration (lookup / cache_hit / factorize /
-// solve / coalesce_wait spans on real evaluations). The concurrency test
+// knobs, and the engine integration (lookup and per-point solve spans on
+// real evaluations). The concurrency test
 // at the bottom is written for TSan: many threads record into one shared
 // context and finish disjoint contexts while a reader scrapes the rings
 // and histograms.
@@ -17,8 +17,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <future>
-#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -106,10 +104,7 @@ TEST(TraceContext, StageNamesMatchPrometheusLabels) {
   EXPECT_STREQ(obs::stage_name(obs::Stage::Queue), "queue");
   EXPECT_STREQ(obs::stage_name(obs::Stage::Admission), "admission");
   EXPECT_STREQ(obs::stage_name(obs::Stage::Lookup), "lookup");
-  EXPECT_STREQ(obs::stage_name(obs::Stage::CacheHit), "cache_hit");
-  EXPECT_STREQ(obs::stage_name(obs::Stage::Factorize), "factorize");
   EXPECT_STREQ(obs::stage_name(obs::Stage::Solve), "solve");
-  EXPECT_STREQ(obs::stage_name(obs::Stage::CoalesceWait), "coalesce_wait");
 }
 
 TEST(TraceContext, RecordsSpansInOrderOnOneTimeline) {
@@ -278,13 +273,13 @@ TEST(TraceCollector, StageHistogramsBucketObservations) {
 
   // finish() feeds the histograms from the trace's spans.
   const auto context = collector.begin("histo");
-  context->record_offset(obs::Stage::Factorize, 0.0, 2e-2);
+  context->record_offset(obs::Stage::Lookup, 0.0, 2e-2);
   collector.finish(context, "eval", 200, 2e-2);
   const obs::StageSnapshot after = collector.stage_snapshot();
-  const auto& factorize =
-      after.stages[static_cast<std::size_t>(obs::Stage::Factorize)];
-  EXPECT_EQ(factorize.observations, 1u);
-  EXPECT_EQ(factorize.buckets[5], 1u);  // 2e-2 lands in the 3e-2 bucket
+  const auto& lookup =
+      after.stages[static_cast<std::size_t>(obs::Stage::Lookup)];
+  EXPECT_EQ(lookup.observations, 1u);
+  EXPECT_EQ(lookup.buckets[5], 1u);  // 2e-2 lands in the 3e-2 bucket
 }
 
 TEST(TraceOptions, FromEnvReadsKnobsAndIgnoresMalformedValues) {
@@ -311,48 +306,32 @@ TEST(TraceOptions, FromEnvReadsKnobsAndIgnoresMalformedValues) {
 
 // --- engine integration ------------------------------------------------------
 
-TEST(ServingEngineTracing, ColdEvalRecordsLookupFactorizeSolve) {
+// One lookup per request and one solve per distinct point, on the first
+// request of a fresh handle and on a repeat alike (nothing is cached
+// between requests).
+TEST(ServingEngineTracing, EvalRecordsLookupAndOneSolvePerPoint) {
   serving::ModelRegistry registry;
   registry.publish("m", make_snapshot(16, 2, 71));
   serving::ServingEngine engine(registry, {.workers = 2});
   obs::TraceCollector collector;
 
-  const std::vector<la::Complex> points = {la::Complex(0.0, 100.0),
-                                           la::Complex(0.0, 200.0)};
-  const auto cold = collector.begin("cold");
-  serving::EvalRequest request("m", points);
-  request.trace = cold;
-  const auto response = engine.evaluate(request);
-  ASSERT_TRUE(response) << response.status().to_string();
+  const std::vector<la::Complex> points = {
+      la::Complex(0.0, 100.0), la::Complex(0.0, 200.0),
+      la::Complex(0.0, 100.0)};
+  for (const char* id : {"first", "repeat"}) {
+    const auto trace = collector.begin(id);
+    serving::EvalRequest request("m", points);
+    request.trace = trace;
+    const auto response = engine.evaluate(request);
+    ASSERT_TRUE(response) << response.status().to_string();
 
-  const std::vector<obs::Span> spans = cold->snapshot();
-  EXPECT_EQ(spans_of(spans, obs::Stage::Lookup).size(), 1u);
-  EXPECT_EQ(spans_of(spans, obs::Stage::Factorize).size(), points.size());
-  EXPECT_EQ(spans_of(spans, obs::Stage::Solve).size(), points.size());
-  EXPECT_TRUE(spans_of(spans, obs::Stage::CacheHit).empty());
-  // Each solve tiles directly after its factorization on the timeline.
-  for (const obs::Span& factor : spans_of(spans, obs::Stage::Factorize)) {
-    bool adjacent = false;
-    for (const obs::Span& solve : spans_of(spans, obs::Stage::Solve)) {
-      if (std::abs(solve.start_seconds -
-                   (factor.start_seconds + factor.seconds)) < 1e-12) {
-        adjacent = true;
-      }
-    }
-    EXPECT_TRUE(adjacent);
+    const std::vector<obs::Span> spans = trace->snapshot();
+    EXPECT_EQ(spans.size(), 3u) << id;
+    EXPECT_EQ(spans_of(spans, obs::Stage::Lookup).size(), 1u) << id;
+    const auto solves = spans_of(spans, obs::Stage::Solve);
+    EXPECT_EQ(solves.size(), response->unique_points) << id;
+    for (const obs::Span& solve : solves) EXPECT_GT(solve.seconds, 0.0);
   }
-
-  // The same points again: the pencil cache answers, so the trace carries
-  // cache_hit spans and no factorization.
-  const auto warm = collector.begin("warm");
-  serving::EvalRequest repeat("m", points);
-  repeat.trace = warm;
-  ASSERT_TRUE(engine.evaluate(repeat));
-  const std::vector<obs::Span> warm_spans = warm->snapshot();
-  EXPECT_EQ(spans_of(warm_spans, obs::Stage::CacheHit).size(),
-            points.size());
-  EXPECT_TRUE(spans_of(warm_spans, obs::Stage::Factorize).empty());
-  EXPECT_EQ(spans_of(warm_spans, obs::Stage::Solve).size(), points.size());
 }
 
 TEST(ServingEngineTracing, UntracedRequestsStillEvaluate) {
@@ -363,61 +342,6 @@ TEST(ServingEngineTracing, UntracedRequestsStillEvaluate) {
       engine.evaluate({"m", {la::Complex(0.0, 100.0)}});
   ASSERT_TRUE(response) << response.status().to_string();
   EXPECT_EQ(response->values.size(), 1u);
-}
-
-// A coalescing follower must record the wait it spends joining the
-// leader's in-flight factorization. Same deterministic interleaving as
-// ServingEngine.CoalescesIdenticalInFlightWorkAcrossBatches: the cache
-// budget hook stalls the leader mid-insert, the follower provably
-// coalesces, then the leader is released.
-TEST(ServingEngineTracing, CoalescingFollowerRecordsItsWait) {
-  serving::ModelRegistry registry;
-  registry.publish("m", make_snapshot(12, 2, 73));
-  serving::ServingEngine engine(registry, {.workers = 2});
-  const auto handle = registry.lookup("m");
-  const la::Complex s(0.0, 500.0);
-  obs::TraceCollector collector;
-
-  std::atomic<bool> first_insert{true};
-  std::promise<void> entered;
-  std::promise<void> release;
-  auto release_future = release.get_future().share();
-  handle->set_cache_budget_hook([&]() -> std::size_t {
-    if (first_insert.exchange(false)) {
-      entered.set_value();
-      release_future.wait();
-    }
-    return std::numeric_limits<std::size_t>::max();
-  });
-
-  std::thread leader([&] {
-    const auto response = engine.evaluate({"m", {s}});
-    ASSERT_TRUE(response) << response.status().to_string();
-  });
-  entered.get_future().wait();  // leader stalled mid-insert, cell claimed
-
-  const auto trace = collector.begin("follower");
-  std::thread follower([&] {
-    serving::EvalRequest request("m", {s});
-    request.trace = trace;
-    const auto response = engine.evaluate(request);
-    ASSERT_TRUE(response) << response.status().to_string();
-  });
-  while (engine.coalesced_total() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  release.set_value();
-  leader.join();
-  follower.join();
-  handle->set_cache_budget_hook({});
-
-  const std::vector<obs::Span> spans = trace->snapshot();
-  const auto waits = spans_of(spans, obs::Stage::CoalesceWait);
-  ASSERT_EQ(waits.size(), 1u);
-  EXPECT_GT(waits[0].seconds, 0.0);
-  // The follower did no factorization of its own.
-  EXPECT_TRUE(spans_of(spans, obs::Stage::Factorize).empty());
-  EXPECT_TRUE(spans_of(spans, obs::Stage::CacheHit).empty());
 }
 
 // --- concurrency (TSan coverage) --------------------------------------------
@@ -442,7 +366,7 @@ TEST(TraceCollector, ConcurrentRecordingFinishingAndScrapingIsSafe) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kSpansPerRecorder; ++i) {
         shared->record_offset(
-            t % 2 == 0 ? obs::Stage::Solve : obs::Stage::Factorize,
+            t % 2 == 0 ? obs::Stage::Solve : obs::Stage::Lookup,
             static_cast<double>(i) * 1e-4, 1e-4);
       }
     });

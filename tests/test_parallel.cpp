@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/mfti.hpp"
+#include "hard_pencils.hpp"
 #include "linalg/eig.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/multiply.hpp"
@@ -229,6 +230,9 @@ TEST(ParallelTangential, BuildMatchesSerialElementwise) {
 
 // --- batch frequency response ----------------------------------------------
 
+// The Hessenberg–triangular evaluator against the dense-LU reference: a
+// random stable system, then the pencils a modal evaluation cannot serve
+// (hard_pencils.hpp), each within 1e-12 of the largest entry.
 TEST(BatchEvaluator, MatchesTransferFunctionPointwise) {
   const auto sys = make_system(24, 3, 31);
   const ss::BatchEvaluator eval(sys);
@@ -237,6 +241,43 @@ TEST(BatchEvaluator, MatchesTransferFunctionPointwise) {
     EXPECT_LE(max_diff(eval.evaluate(s), ss::transfer_function(sys, s)),
               kTol);
   }
+  for (const hard_pencils::Case& c : hard_pencils::cases()) {
+    const ss::BatchEvaluator hard(c.sys);
+    for (const la::Complex& s : mfti::api::points_from_freqs_hz(c.freqs_hz)) {
+      EXPECT_LE(hard_pencils::relative_diff(hard.evaluate(s),
+                                            ss::transfer_function(c.sys, s)),
+                kTol)
+          << c.name << " at s = " << s;
+    }
+  }
+  // A complex system takes the unitary reduction.
+  la::Rng rng(33);
+  const std::size_t n = 12;
+  const CMat eye = CMat::identity(n);
+  const ss::ComplexDescriptorSystem csys{
+      eye + 0.1 * la::random_complex_matrix(n, n, rng),
+      la::random_complex_matrix(n, n, rng) - 6.0 * eye,
+      la::random_complex_matrix(n, 3, rng),
+      la::random_complex_matrix(2, n, rng),
+      la::random_complex_matrix(2, 3, rng)};
+  const ss::BatchEvaluator ceval(csys);
+  for (const la::Complex& s : mfti::api::points_from_freqs_hz(
+           sp::log_grid(0.01, 10.0, 9))) {
+    EXPECT_LE(hard_pencils::relative_diff(ceval.evaluate(s),
+                                          ss::transfer_function(csys, s)),
+              kTol)
+        << "complex system at s = " << s;
+  }
+  // A model without inputs (a snapshot can carry one) answers p x 0.
+  ss::DescriptorSystem no_inputs = make_system(6, 2, 34);
+  no_inputs.b = Mat(6, 0);
+  no_inputs.d = Mat(2, 0);
+  const CMat empty = ss::BatchEvaluator(no_inputs).evaluate(Complex(0.0, 1.0));
+  EXPECT_EQ(empty.rows(), 2u);
+  EXPECT_EQ(empty.cols(), 0u);
+  // Exactly at a pole the elimination meets a zero pivot.
+  const ss::BatchEvaluator one_pole(hard_pencils::one_pole_at_minus_two());
+  EXPECT_THROW(one_pole.evaluate(Complex(-2.0, 0.0)), la::SingularMatrixError);
 }
 
 TEST(BatchEvaluator, ParallelSweepMatchesSerialElementwise) {

@@ -1,11 +1,9 @@
 // Tests for the multi-model serving subsystem (src/serving): registry
 // publish/rollback/version semantics, engine routing (bitwise parity with
 // direct ModelHandle evaluation, in-batch dedup, per-request error
-// isolation), the unified EvalRequest vocabulary (points/freqs_hz parity,
-// the deprecated sweep shim), atomic republish under a concurrent query
-// storm (no torn/mixed-version responses), cross-batch coalescing (joined
-// results are bitwise the leader's), the demand-weighted global cache
-// budget (aggregated and per-model stats), and the AsyncFitter background
+// isolation including a pole), the unified EvalRequest vocabulary
+// (points/freqs_hz parity), atomic republish under a concurrent query
+// storm (no torn/mixed-version responses), and the AsyncFitter background
 // pipeline (auto-publish, cancellation leaves the registry unchanged).
 
 #include "serving/serving.hpp"
@@ -14,10 +12,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <future>
-#include <limits>
 #include <numbers>
 #include <string>
 #include <thread>
@@ -25,6 +21,7 @@
 
 #include "api/api.hpp"
 #include "core/recursive_mfti.hpp"
+#include "hard_pencils.hpp"
 #include "sampling/grid.hpp"
 #include "sampling/sampler.hpp"
 #include "statespace/random_system.hpp"
@@ -54,10 +51,9 @@ ss::DescriptorSystem make_system(std::size_t order, std::size_t ports,
 }
 
 serving::ModelSnapshot make_snapshot(std::size_t order, std::size_t ports,
-                                     std::uint64_t seed,
-                                     api::ModelHandleOptions opts = {}) {
+                                     std::uint64_t seed) {
   return std::make_shared<const api::ModelHandle>(
-      make_system(order, ports, seed), opts);
+      make_system(order, ports, seed));
 }
 
 std::vector<Complex> grid_points(std::size_t count) {
@@ -209,9 +205,6 @@ TEST(ServingEngine, DeduplicatesIdenticalPointsWithinABatch) {
   ASSERT_TRUE(response) << response.status().to_string();
   EXPECT_EQ(response->values.size(), points.size());
   EXPECT_EQ(response->unique_points, base.size());
-  // Only the distinct points ever reached the handle.
-  const auto stats = registry.lookup("m")->cache_stats();
-  EXPECT_EQ(stats.hits + stats.misses, base.size());
   // Duplicates are exact copies of their representative.
   for (std::size_t i = 0; i < points.size(); ++i) {
     EXPECT_EQ(max_diff(response->values[i], response->values[i % base.size()]),
@@ -222,14 +215,23 @@ TEST(ServingEngine, DeduplicatesIdenticalPointsWithinABatch) {
 TEST(ServingEngine, RequestsFailIndependently) {
   serving::ModelRegistry registry;
   registry.publish("ok", make_snapshot(8, 2, 50));
+  registry.publish("pole", std::make_shared<const api::ModelHandle>(
+                               hard_pencils::one_pole_at_minus_two()));
   serving::ServingEngine engine(registry);
 
+  // A point exactly at a pole fails its own request as a numerical error.
   const auto responses = engine.evaluate(std::vector<serving::EvalRequest>{
-      {"ok", grid_points(3)}, {"ghost", grid_points(3)}});
-  ASSERT_EQ(responses.size(), 2u);
+      {"ok", grid_points(3)},
+      {"ghost", grid_points(3)},
+      {"pole", {Complex(0.0, 1.0), Complex(-2.0, 0.0)}},
+      {"pole", {Complex(0.0, 1.0)}}});
+  ASSERT_EQ(responses.size(), 4u);
   EXPECT_TRUE(responses[0]);
   ASSERT_FALSE(responses[1]);
   EXPECT_EQ(responses[1].status().code(), api::StatusCode::NotFound);
+  ASSERT_FALSE(responses[2]);
+  EXPECT_EQ(responses[2].status().code(), api::StatusCode::NumericalError);
+  EXPECT_TRUE(responses[3]);
 
   const auto empty = engine.evaluate(serving::EvalRequest{"ok", {}});
   ASSERT_TRUE(empty);
@@ -237,6 +239,8 @@ TEST(ServingEngine, RequestsFailIndependently) {
   EXPECT_EQ(empty->unique_points, 0u);
 }
 
+// A frequency-grid request is bit-identical to the handle's own sweep and
+// agrees with the free `ss::frequency_response`.
 TEST(ServingEngine, SweepMatchesHandleSweep) {
   serving::ModelRegistry registry;
   const auto sys = make_system(12, 3, 60);
@@ -244,22 +248,15 @@ TEST(ServingEngine, SweepMatchesHandleSweep) {
                    std::make_shared<const api::ModelHandle>(sys));
   serving::ServingEngine engine(registry);
   const auto freqs = sp::log_grid(10.0, 1e5, 9);
-  // sweep() is a deprecated shim over the unified vocabulary; until its
-  // removal it must stay bit-identical to the replacement.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const auto response = engine.sweep("m", freqs);
-#pragma GCC diagnostic pop
-  ASSERT_TRUE(response) << response.status().to_string();
-  const auto unified =
+  const auto response =
       engine.evaluate(serving::EvalRequest::at_hz("m", freqs));
-  ASSERT_TRUE(unified) << unified.status().to_string();
+  ASSERT_TRUE(response) << response.status().to_string();
+  const auto swept = registry.lookup("m")->sweep(freqs);
   const auto reference = ss::frequency_response(sys, freqs);
   ASSERT_EQ(response->values.size(), reference.size());
-  ASSERT_EQ(unified->values.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(max_diff(response->values[i], swept[i]), 0.0);
     EXPECT_LE(max_diff(response->values[i], reference[i]), 1e-12);
-    EXPECT_EQ(max_diff(response->values[i], unified->values[i]), 0.0);
   }
 }
 
@@ -324,11 +321,13 @@ TEST(ServingEngine, RepublishUnderQueryStormNeverTearsResponses) {
   const auto sys_b = make_system(12, 2, 71);
   const auto points = grid_points(6);
 
+  // References from separate handles: the engine must serve exactly these
+  // bits, so one value from the other version fails the != 0.0 check.
   std::vector<CMat> ref_a;
   std::vector<CMat> ref_b;
   for (const Complex& s : points) {
-    ref_a.push_back(ss::transfer_function(sys_a, s));
-    ref_b.push_back(ss::transfer_function(sys_b, s));
+    ref_a.push_back(api::ModelHandle(sys_a).evaluate(s));
+    ref_b.push_back(api::ModelHandle(sys_b).evaluate(s));
   }
 
   serving::ModelRegistry registry;
@@ -385,193 +384,6 @@ TEST(ServingEngine, RepublishUnderQueryStormNeverTearsResponses) {
   EXPECT_EQ(registry.info("m")->version, 1u + publishes);
 }
 
-// --- ServingEngine: global cache memory budget ------------------------------
-
-TEST(ServingEngine, GlobalCacheBudgetRespectedAcrossModels) {
-  serving::ModelRegistry registry;
-  registry.publish("a", make_snapshot(16, 2, 80));
-  registry.publish("b", make_snapshot(16, 2, 81));
-
-  const auto handle_a = registry.lookup("a");
-  const std::size_t per_entry = handle_a->bytes_per_entry();
-  // Budget for ~3 entries per model (2 models, equal shares).
-  serving::ServingEngine engine(
-      registry, {.workers = 2, .cache_memory_budget = 2 * 3 * per_entry});
-
-  // Far more distinct points than the budget admits.
-  const auto points = grid_points(24);
-  for (int round = 0; round < 3; ++round) {
-    for (const auto& name : {"a", "b"}) {
-      const auto response = engine.evaluate({name, points});
-      ASSERT_TRUE(response) << response.status().to_string();
-    }
-  }
-
-  const auto stats = engine.stats();
-  EXPECT_EQ(stats.models, 2u);
-  EXPECT_EQ(stats.memory_budget, 2 * 3 * per_entry);
-  EXPECT_LE(stats.memory_bytes, stats.memory_budget);
-  EXPECT_LE(stats.cache.entries, 6u);
-  EXPECT_GT(stats.cache.evictions, 0u);  // the budget actually bit
-  EXPECT_EQ(stats.cache.hits + stats.cache.misses,
-            2u * 3u * points.size());
-}
-
-TEST(ServingEngine, BudgetEvictsOnlyOverBudgetModels) {
-  serving::ModelRegistry registry;
-  registry.publish("hot", make_snapshot(16, 2, 90));
-  registry.publish("cold", make_snapshot(16, 2, 91));
-  const auto hot = registry.lookup("hot");
-  const auto cold = registry.lookup("cold");
-
-  // Fill "hot" beyond any fair share before the engine exists.
-  for (const Complex& s : grid_points(20)) hot->evaluate(s);
-  // "cold" stays within its share.
-  for (const Complex& s : grid_points(2)) cold->evaluate(s);
-  ASSERT_EQ(hot->cache_stats().entries, 20u);
-  ASSERT_EQ(cold->cache_stats().entries, 2u);
-
-  const std::size_t per_entry = hot->bytes_per_entry();
-  serving::ServingEngine engine(
-      registry, {.cache_memory_budget = 2 * 4 * per_entry});
-  engine.enforce_cache_budget();
-
-  // Only the over-budget model was trimmed (to its 4-entry share).
-  EXPECT_EQ(hot->cache_stats().entries, 4u);
-  EXPECT_EQ(hot->cache_stats().evictions, 16u);
-  EXPECT_EQ(cold->cache_stats().entries, 2u);
-  EXPECT_EQ(cold->cache_stats().evictions, 0u);
-  // And inserts now respect the share immediately.
-  for (const Complex& s : grid_points(10)) hot->evaluate(s);
-  EXPECT_LE(hot->cache_stats().entries, 4u);
-}
-
-// A handle published under several names has one cache: stats() and the
-// budget partition must both count it once, so memory_bytes stays
-// comparable to memory_budget.
-TEST(ServingEngine, SharedHandleUnderTwoNamesCountedOnce) {
-  serving::ModelRegistry registry;
-  const auto shared = make_snapshot(12, 2, 96);
-  registry.publish("alias-a", shared);
-  registry.publish("alias-b", shared);
-  const std::size_t per_entry = shared->bytes_per_entry();
-  serving::ServingEngine engine(registry,
-                                {.cache_memory_budget = 4 * per_entry});
-  const auto response = engine.evaluate({"alias-a", grid_points(10)});
-  ASSERT_TRUE(response);
-
-  const auto stats = engine.stats();
-  EXPECT_EQ(stats.models, 2u);  // two names...
-  // ...but one cache: entries/footprint not doubled, and within the cap
-  // (the shared handle gets the whole budget, not half of a double-count).
-  EXPECT_EQ(stats.cache.entries, shared->cache_stats().entries);
-  EXPECT_EQ(stats.memory_bytes, shared->memory_footprint());
-  EXPECT_LE(stats.memory_bytes, stats.memory_budget);
-  EXPECT_EQ(stats.cache.entries, 4u);
-}
-
-// Skewed traffic re-weights the partition: the hot model's byte share
-// grows past the equal split while the floor share keeps the cold model
-// servable. Numbers (budget 16 entries, floor 25%, alpha 0.3, windows
-// 64 vs 4): floor 2 entries each, hot demand 19.2 vs cold 1.2, so the
-// re-partition lands near 13 vs 2 entries.
-TEST(ServingEngine, DemandWeightedSharesShiftTowardHotModels) {
-  serving::ModelRegistry registry;
-  registry.publish("hot", make_snapshot(16, 2, 140));
-  registry.publish("cold", make_snapshot(16, 2, 141));
-  const auto hot = registry.lookup("hot");
-  const auto cold = registry.lookup("cold");
-  const std::size_t per_entry = hot->bytes_per_entry();
-  serving::ServingEngine engine(
-      registry, {.workers = 2, .cache_memory_budget = 2 * 8 * per_entry});
-
-  // Both windows stay below the re-partition interval, so shares remain
-  // at the initial (zero-demand) equal split until the forced partition.
-  ASSERT_TRUE(engine.evaluate({"hot", grid_points(64)}));
-  ASSERT_TRUE(engine.evaluate({"cold", grid_points(4)}));
-  engine.enforce_cache_budget();  // fold demand, re-weight the shares
-
-  const auto stats = engine.stats();
-  ASSERT_EQ(stats.per_model.size(), 2u);  // name-sorted: cold, hot
-  const auto& cold_row = stats.per_model[0];
-  const auto& hot_row = stats.per_model[1];
-  ASSERT_EQ(cold_row.name, "cold");
-  ASSERT_EQ(hot_row.name, "hot");
-  EXPECT_GT(hot_row.demand_ewma, cold_row.demand_ewma);
-  EXPECT_GT(cold_row.demand_ewma, 0.0);
-  // Hot grew past the equal split; the floor keeps cold servable; the
-  // shares still fit the budget.
-  EXPECT_GT(hot_row.share_bytes, 8 * per_entry);
-  EXPECT_GE(cold_row.share_bytes, per_entry);
-  EXPECT_LE(hot_row.share_bytes + cold_row.share_bytes, 2 * 8 * per_entry);
-
-  // Inserts respect the re-weighted shares immediately: hot can now cache
-  // beyond its old equal share, cold was trimmed to its floor.
-  ASSERT_TRUE(engine.evaluate({"hot", grid_points(24)}));
-  EXPECT_GT(hot->cache_stats().entries, 8u);
-  EXPECT_LE(hot->cache_stats().entries * per_entry, hot_row.share_bytes);
-  EXPECT_LE(cold->cache_stats().entries * per_entry, cold_row.share_bytes);
-}
-
-// --- ServingEngine: cross-batch coalescing ----------------------------------
-
-// Two concurrent evaluate() calls asking for the same (model, point) must
-// share one factorization: the first claims the work, the second joins it
-// and receives the *same bits*. Deterministic interleaving: a cache budget
-// hook stalls the leader inside its insert (after it claimed the in-flight
-// cell), the follower is launched and observed to coalesce, then the
-// leader is released.
-TEST(ServingEngine, CoalescesIdenticalInFlightWorkAcrossBatches) {
-  serving::ModelRegistry registry;
-  registry.publish("m", make_snapshot(12, 2, 160));
-  serving::ServingEngine engine(registry, {.workers = 2});
-  const auto handle = registry.lookup("m");
-  const Complex s = grid_points(3)[1];
-
-  std::atomic<bool> first_insert{true};
-  std::promise<void> entered;
-  std::promise<void> release;
-  auto release_future = release.get_future().share();
-  handle->set_cache_budget_hook([&]() -> std::size_t {
-    if (first_insert.exchange(false)) {
-      entered.set_value();
-      release_future.wait();
-    }
-    return std::numeric_limits<std::size_t>::max();
-  });
-
-  std::thread leader([&] {
-    const auto response = engine.evaluate({"m", {s}});
-    ASSERT_TRUE(response) << response.status().to_string();
-  });
-  entered.get_future().wait();  // leader stalled mid-insert, cell claimed
-
-  std::thread follower([&] {
-    const auto response = engine.evaluate({"m", {s}});
-    ASSERT_TRUE(response) << response.status().to_string();
-    // The joined result is the leader's bits (== direct evaluation of an
-    // identical model, which shares the serial arithmetic).
-    const api::ModelHandle direct(make_system(12, 2, 160));
-    ASSERT_EQ(response->values.size(), 1u);
-    EXPECT_EQ(max_diff(response->values[0], direct.evaluate(s)), 0.0);
-  });
-  // The follower must register as coalesced *while* the leader still
-  // computes — proof it joined in-flight work instead of repeating it.
-  while (engine.coalesced_total() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  release.set_value();
-  leader.join();
-  follower.join();
-  handle->set_cache_budget_hook({});
-
-  EXPECT_EQ(engine.coalesced_total(), 1u);
-  // One factorization total: the follower never touched the cache.
-  const auto stats = handle->cache_stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 0u);
-}
-
 TEST(ModelRegistry, GenerationBumpsOnEveryMutation) {
   serving::ModelRegistry registry;
   const auto g0 = registry.generation();
@@ -592,16 +404,6 @@ TEST(ModelRegistry, GenerationBumpsOnEveryMutation) {
   EXPECT_FALSE(registry.remove("ghost"));
   EXPECT_FALSE(registry.rollback("ghost"));
   EXPECT_EQ(registry.generation(), g4);
-}
-
-TEST(ServingEngine, ZeroBudgetDisablesEnforcement) {
-  serving::ModelRegistry registry;
-  registry.publish("m", make_snapshot(10, 2, 95));
-  serving::ServingEngine engine(registry);  // budget 0 = off
-  const auto response = engine.evaluate({"m", grid_points(12)});
-  ASSERT_TRUE(response);
-  EXPECT_EQ(registry.lookup("m")->cache_stats().entries, 12u);
-  EXPECT_EQ(engine.stats().memory_budget, 0u);
 }
 
 // --- AsyncFitter ------------------------------------------------------------

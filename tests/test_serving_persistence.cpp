@@ -77,10 +77,9 @@ ss::DescriptorSystem make_system(std::size_t order, std::size_t ports,
 }
 
 serving::ModelSnapshot make_snapshot(std::size_t order, std::size_t ports,
-                                     std::uint64_t seed,
-                                     api::ModelHandleOptions opts = {}) {
+                                     std::uint64_t seed) {
   return std::make_shared<const api::ModelHandle>(
-      make_system(order, ports, seed), opts);
+      make_system(order, ports, seed));
 }
 
 std::string read_bytes(const fs::path& path) {
@@ -119,7 +118,6 @@ void expect_states_identical(
       EXPECT_EQ(a.history_depth, b.history_depth);
       const api::ModelHandle& ha = *before[e].versions[v].handle;
       const api::ModelHandle& hb = *after[e].versions[v].handle;
-      EXPECT_EQ(ha.options().cache_capacity, hb.options().cache_capacity);
       EXPECT_TRUE(ha.model() == hb.model());  // bitwise matrix equality
     }
   }
@@ -208,14 +206,26 @@ TEST(ModelSnapshot, SystemRoundTripsBitwise) {
 
 TEST(ModelSnapshot, HandleRoundTripServesIdentically) {
   TempDir dir("handle");
-  api::ModelHandleOptions opts;
-  opts.cache_capacity = 7;
-  const api::ModelHandle handle(make_system(10, 2, 12), opts);
+  const api::ModelHandle handle(make_system(10, 2, 12));
   const std::string path = (dir.path() / "model.mfti").string();
   ASSERT_TRUE(io::save_model_snapshot(path, handle).is_ok());
+  // The MODL payload opens with the reserved word, written as the old
+  // cache-capacity default so an older reader behaves as before.
+  const std::string bytes = read_bytes(path);
+  std::size_t offset = 0;
+  std::uint32_t version = 0;
+  ASSERT_TRUE(io::check_file_header(bytes, io::kSnapshotMagic,
+                                    io::kSnapshotFormatVersion, &offset,
+                                    &version)
+                  .is_ok());
+  io::SectionView section;
+  ASSERT_EQ(io::parse_section(bytes, &offset, &section),
+            io::SectionParse::Ok);
+  io::ByteReader payload(section.payload);
+  EXPECT_EQ(payload.u64(), io::kReservedModelWord);
+  EXPECT_EQ(io::kReservedModelWord, 128u);
   const auto back = io::load_model_snapshot(path);
   ASSERT_TRUE(back) << back.status().to_string();
-  EXPECT_EQ((*back)->options().cache_capacity, 7u);
   EXPECT_TRUE((*back)->model() == handle.model());
   // A reloaded model must serve answers bitwise identical to the saved
   // one — same matrices, same evaluation path.
@@ -228,6 +238,33 @@ TEST(ModelSnapshot, HandleRoundTripServesIdentically) {
       }
     }
   }
+}
+
+// Readers ignore the reserved word: a file whose word holds another
+// value (an older writer's non-default cache capacity) loads the same
+// model.
+TEST(ModelSnapshot, ReservedWordIsIgnoredOnRead) {
+  TempDir dir("reserved");
+  const ss::DescriptorSystem sys = make_system(6, 2, 13);
+  io::ByteWriter payload;
+  payload.u64(7);
+  io::write_system(payload, sys);
+  std::string bytes;
+  io::append_file_header(bytes, io::kSnapshotMagic,
+                         io::kSnapshotFormatVersion);
+  io::append_section(bytes, io::kSectionModel, payload.bytes());
+  const fs::path path = dir.path() / "old.mfti";
+  write_bytes(path, bytes);
+  const auto back = io::load_model_snapshot(path.string());
+  ASSERT_TRUE(back) << back.status().to_string();
+  EXPECT_TRUE((*back)->model() == sys);
+
+  // Registry versions carry the same word between model info and model.
+  io::ByteWriter out;
+  serving::write_persisted_version(out, {serving::ModelInfo{}, sys});
+  io::ByteReader in(out.bytes());
+  serving::read_model_info(in);
+  EXPECT_EQ(in.u64(), io::kReservedModelWord);
 }
 
 TEST(ModelSnapshot, CorruptFileIsAnErrorNotACrash) {
@@ -271,10 +308,7 @@ TEST(DurableRegistry, ReopenRestoresStateByteIdentically) {
     EXPECT_TRUE(reg.durable());
     // A history that exercises every journal op: multiple versions,
     // a trim past max_versions, a rollback, and a removed model.
-    api::ModelHandleOptions handle_opts;
-    handle_opts.cache_capacity = 17;
-    reg.publish("pdn", make_snapshot(8, 2, 21, handle_opts),
-                api::Algorithm::Mfti, 0.25);
+    reg.publish("pdn", make_snapshot(8, 2, 21), api::Algorithm::Mfti, 0.25);
     reg.publish("pdn", make_snapshot(10, 2, 22), api::Algorithm::Vfti,
                 1.5);
     reg.publish("pdn", make_snapshot(12, 2, 23),

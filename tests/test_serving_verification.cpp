@@ -72,9 +72,8 @@ ss::DescriptorSystem unstable_lowgain() {
   return {Mat{{1.0}}, Mat{{1.0}}, Mat{{1}}, Mat{{0.1}}, Mat{{0}}};
 }
 
-serving::ModelSnapshot snapshot_of(ss::DescriptorSystem sys,
-                                   api::ModelHandleOptions opts = {}) {
-  return std::make_shared<const api::ModelHandle>(std::move(sys), opts);
+serving::ModelSnapshot snapshot_of(ss::DescriptorSystem sys) {
+  return std::make_shared<const api::ModelHandle>(std::move(sys));
 }
 
 /// Registry options carrying a policy built from `opts`.

@@ -15,10 +15,11 @@
 /// `mfti_serve --dir` warm-restarts the same fleet. `smoke` asserts
 /// loopback parity — every value served over HTTP must match the
 /// in-process evaluation of the same snapshot to 1e-12 (and exactly, for
-/// the repeated points the engine answers from cache) — plus the protocol
-/// edges: models listing, 404 on unknown models, 400 on malformed JSON,
-/// and (with `--expect-429`) the rate-limit refusal. `bench` emits the
-/// standard bench JSON schema (`bench/compare_bench.py` consumes it).
+/// the repeated points the engine's in-batch dedup answers) — plus the
+/// protocol edges: models listing, 404 on unknown models, 400 on
+/// malformed JSON, and (with `--expect-429`) the rate-limit refusal.
+/// `bench` emits the standard bench JSON schema (`bench/compare_bench.py`
+/// consumes it).
 /// `quarantine` drives the verification gate end-to-end against a server
 /// running with `MFTI_VERIFY=1`: publish a deliberately non-passive model,
 /// assert it quarantines (404 on eval, listed by the admin API), assert an
@@ -27,7 +28,7 @@
 /// tracing path (docs/observability.md): traced eval with `X-Request-Id` +
 /// `X-MFTI-Trace: 1`, header echo and `"timings"` block asserted, then
 /// (given an admin token) the `/v1/admin/trace` ring must list the trace
-/// with its queue/lookup/factorize-or-cache-hit/solve spans.
+/// with its queue/lookup/solve spans.
 ///
 /// Transient failures: every mode retries refused connections and `429`
 /// responses with exponential backoff + deterministic jitter, honoring
@@ -352,8 +353,8 @@ int run_smoke(const Args& args) {
 
   // Loopback parity: every HTTP-served value must match the in-process
   // evaluation of the same snapshot file to 1e-12. The points repeat once
-  // so the second half is answered from the engine's pencil cache — those
-  // must match *exactly* (the cache stores the first computation).
+  // so the second half is answered by the engine's in-batch dedup — those
+  // must match *exactly* (they are copies of the first computation).
   auto reference = io::load_model_snapshot(args.dir + "/model-0.mfti");
   CHECK(reference.has_value(), "cannot load reference snapshot: %s",
         reference.status().to_string().c_str());
@@ -397,10 +398,11 @@ int run_smoke(const Args& args) {
             std::abs(im->at(flat).as_number() - ref(r, c).imag());
         worst = std::max({worst, dre, dim});
         if (i >= unique) {
-          // Cached half: bitwise equality with the first computation,
+          // Repeated half: bitwise equality with the first computation,
           // which itself matched `ref` (checked by `worst` below).
           CHECK(dre == 0.0 && dim == 0.0,
-                "cached point %zu not exact (dre=%g dim=%g)", i, dre, dim);
+                "repeated point %zu not exact (dre=%g dim=%g)", i, dre,
+                dim);
         }
       }
     }
@@ -451,7 +453,7 @@ int run_bench(const Args& args) {
   const std::vector<double> freqs = demo_freqs(32);
   const std::string body = eval_body("m0", freqs);
 
-  // Warmup fills the server-side pencil cache.
+  // Warmup: the first request builds the server-side evaluator.
   for (int i = 0; i < 3; ++i) {
     auto r = retry.request("POST", "/v1/eval", body);
     if (!r || r->status != 200) {
@@ -521,7 +523,7 @@ int run_bench(const Args& args) {
 /// echoed and the response carries a per-stage "timings" block, then —
 /// when an admin token is available — scrape `GET /v1/admin/trace` and
 /// assert the trace landed in the ring with the span stages the serving
-/// path must produce (queue, lookup, factorize-or-cache-hit, solve).
+/// path must produce (queue, lookup, solve).
 int run_trace(const Args& args) {
   HttpClient client(args.host, args.port);
   RetryingClient retry(client, args.max_retries, args.backoff_ms);
@@ -556,9 +558,7 @@ int run_trace(const Args& args) {
         "timings block id mismatch");
   const net::Json* stages = timings->find("stages");
   CHECK(stages != nullptr, "timings block lacks 'stages'");
-  CHECK(stages->find("solve") != nullptr ||
-            stages->find("factorize") != nullptr ||
-            stages->find("cache_hit") != nullptr,
+  CHECK(stages->find("solve") != nullptr,
         "timings block has no engine stage");
   std::printf("trace: id echoed, timings block present\n");
 
@@ -589,7 +589,6 @@ int run_trace(const Args& args) {
   CHECK(spans != nullptr && spans->size() > 0, "trace has no spans");
   bool saw_queue = false;
   bool saw_lookup = false;
-  bool saw_compute = false;  // factorize or cache_hit
   bool saw_solve = false;
   for (const net::Json& span : spans->items()) {
     const net::Json* stage = span.find("stage");
@@ -597,15 +596,13 @@ int run_trace(const Args& args) {
     const std::string& name = stage->as_string();
     if (name == "queue") saw_queue = true;
     if (name == "lookup") saw_lookup = true;
-    if (name == "factorize" || name == "cache_hit") saw_compute = true;
     if (name == "solve") saw_solve = true;
   }
   CHECK(saw_queue, "trace lacks a 'queue' span");
   CHECK(saw_lookup, "trace lacks a 'lookup' span");
-  CHECK(saw_compute, "trace lacks a 'factorize'/'cache_hit' span");
   CHECK(saw_solve, "trace lacks a 'solve' span");
-  std::printf("trace: ring has '%s' with queue/lookup/compute/solve "
-              "spans — all checks passed\n",
+  std::printf("trace: ring has '%s' with queue/lookup/solve spans — all "
+              "checks passed\n",
               request_id.c_str());
   return 0;
 }

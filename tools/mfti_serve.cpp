@@ -6,8 +6,8 @@
 ///   mfti_serve --dir fleet/ [--port 8080] [--port-file port.txt]
 ///
 /// Configuration beyond the flags comes from the `MFTI_HTTP_*` (front),
-/// `MFTI_CACHE_*` (engine cache economics) and `MFTI_TRACE_*` (request
-/// tracing, docs/observability.md) environment knobs (see
+/// `MFTI_VERIFY_*` (publish gate) and `MFTI_TRACE_*` (request tracing,
+/// docs/observability.md) environment knobs (see
 /// docs/serving-protocol.md and docs/operations.md). `--port 0` binds an
 /// ephemeral port; `--port-file` writes the resolved port for launchers
 /// that need to discover it (the CI loopback job does). SIGTERM/SIGINT
@@ -78,8 +78,7 @@ int main(int argc, char** argv) {
                  dir.c_str(), registry.status().to_string().c_str());
     return 1;
   }
-  serving::ServingEngine engine(**registry,
-                                serving::ServingEngineOptions::from_env());
+  serving::ServingEngine engine(**registry);
   net::ServingFront front(engine, **registry, opts);
 
   std::signal(SIGTERM, handle_signal);
