@@ -1,4 +1,4 @@
-// Ablation C (DESIGN.md): accuracy of MFTI vs VFTI as the measurement
+// Ablation C: accuracy of MFTI vs VFTI as the measurement
 // noise level sweeps from 1e-4 to 1e-1, at a fixed sample budget on an
 // Example-1-style system (scaled down so VFTI has enough samples to be in
 // its working regime — this isolates the noise robustness claim from the

@@ -1,4 +1,4 @@
-// Ablation A (DESIGN.md): the recursive algorithm's knobs.
+// Ablation A: the recursive algorithm's knobs.
 //   * SelectionRule: the paper's ascending sort (best-first) vs the greedy
 //     worst-first alternative;
 //   * k0 (units added per iteration);

@@ -1,8 +1,9 @@
 // Ablation D: the frequency-scaling design choice inside the realization
-// (DESIGN.md §3). The Loewner and shifted-Loewner matrices differ in scale
-// by ~2 pi f_max; without balancing them the two-sided stacked SVDs are
-// dominated by sLL and the order detection degrades. This bench quantifies
-// that on the Example-1 setup at several sample counts.
+// (loewner::RealizationOptions::frequency_scaling). The Loewner and
+// shifted-Loewner matrices differ in scale by ~2 pi f_max; without
+// balancing them the two-sided stacked SVDs are dominated by sLL and the
+// order detection degrades. This bench quantifies that on the Example-1
+// setup at several sample counts.
 
 #include <cstdio>
 

@@ -1,4 +1,4 @@
-// Ablation B (DESIGN.md): per-sample weighting t_i on ill-conditioned data
+// Ablation B: per-sample weighting t_i on ill-conditioned data
 // (Table-1 Test-2's clustered grid). The paper's weighting rule for Test 2
 // keeps t_i >= t_j for i < j, i.e. lower-frequency (sparser) samples get
 // wider interpolation blocks. Compared against uniform and inverted

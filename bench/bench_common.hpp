@@ -6,6 +6,7 @@
 #pragma once
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -27,11 +28,13 @@
 #include "sampling/noise.hpp"
 #include "sampling/sampler.hpp"
 #include "statespace/random_system.hpp"
+#include "util/knobs.hpp"
 
 namespace mfti::bench {
 
 /// Example 1 of the paper: "an order-150 system with 30 ports". The paper
-/// does not publish the system; DESIGN.md §5 documents this substitute.
+/// does not publish the system; this seeded random stable system of the
+/// same order, port count and rank(D) substitutes for it.
 /// rank(D) = 30 is required for the Fig. 1 drop positions (150 / 180 / 180).
 inline ss::DescriptorSystem example1_system(std::uint64_t seed = 20100613) {
   la::Rng rng(seed);
@@ -50,7 +53,8 @@ inline constexpr double kExample1FMin = 10.0;
 inline constexpr double kExample1FMax = 1e5;
 
 /// Example 2 of the paper: measured 14-port PDN data (proprietary),
-/// substituted by the synthetic PDN of netgen (DESIGN.md §5).
+/// substituted by the synthetic PDN of netgen::make_pdn_circuit
+/// (src/netgen/pdn.hpp says why the substitute exercises the same path).
 inline netgen::Circuit example2_pdn_circuit(std::uint64_t seed = 20100614) {
   la::Rng rng(seed);
   netgen::PdnOptions opts;  // 6x6 grid, 6 decaps, 14 ports
@@ -147,15 +151,14 @@ struct BenchArgs {
   /// absent; malformed values flag the args invalid.
   int positional_int(int fallback) {
     if (positional.empty()) return fallback;
-    char* end = nullptr;
-    const long value = std::strtol(positional.front().c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || value <= 0) {
+    const auto value = util::parse_uint(positional.front(), INT_MAX);
+    if (!value || *value == 0) {
       std::fprintf(stderr, "bad positional argument '%s' (want a positive "
                    "integer)\n", positional.front().c_str());
       valid = false;
       return fallback;
     }
-    return static_cast<int>(value);
+    return static_cast<int>(*value);
   }
 };
 

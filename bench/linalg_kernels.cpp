@@ -34,11 +34,13 @@
 #include "linalg/svd.hpp"
 #include "metrics/stopwatch.hpp"
 #include "parallel/thread_pool.hpp"
+#include "util/knobs.hpp"
 
 namespace la = mfti::la;
 namespace par = mfti::parallel;
 namespace bench = mfti::bench;
 namespace simd = mfti::la::simd;
+namespace util = mfti::util;
 
 namespace {
 
@@ -72,20 +74,15 @@ using bench::best_seconds;
 using bench::max_diff;
 
 double min_speedup_from_env() {
-  const char* env = std::getenv("MFTI_KERNEL_MIN_SPEEDUP");
-  if (env == nullptr || *env == '\0') return 1.0;
-  char* end = nullptr;
-  const double value = std::strtod(env, &end);
-  if (end == env || *end != '\0' || !(value > 0.0)) {
-    // A malformed or non-positive override would silently neutralize the
-    // acceptance gates; refuse it and keep the default.
-    std::fprintf(stderr,
-                 "ignoring MFTI_KERNEL_MIN_SPEEDUP='%s' (want a positive "
-                 "number); using 1.0\n",
-                 env);
-    return 1.0;
-  }
-  return value;
+  double value = 1.0;
+  util::env_knob("MFTI_KERNEL_MIN_SPEEDUP", &value);
+  if (value > 0.0) return value;
+  // A zero override would silently neutralize the acceptance gates;
+  // refuse it and keep the default.
+  std::fprintf(stderr,
+               "ignoring MFTI_KERNEL_MIN_SPEEDUP=0 (want a positive "
+               "number); using 1.0\n");
+  return 1.0;
 }
 
 struct Row {

@@ -52,6 +52,7 @@
 #include <filesystem>
 #include <memory>
 #include <numbers>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,6 +67,7 @@
 #include "serving/serving.hpp"
 #include "statespace/random_system.hpp"
 #include "statespace/response.hpp"
+#include "util/knobs.hpp"
 
 namespace api = mfti::api;
 namespace la = mfti::la;
@@ -518,18 +520,18 @@ int main(int argc, char** argv) {
   std::printf("  tracing on  (full spans): %8.3f ms  (%.4fx)\n",
               1e3 * t_trace_on, trace_ratio);
   if (const char* gate = std::getenv("MFTI_TRACE_OVERHEAD_GATE")) {
-    const double max_ratio = std::atof(gate);
-    if (max_ratio <= 1.0) {
+    const std::optional<double> max_ratio = mfti::util::parse_double(gate);
+    if (!max_ratio || *max_ratio <= 1.0) {
       std::printf("FAIL: MFTI_TRACE_OVERHEAD_GATE='%s' is not a ratio > 1\n",
                   gate);
       ok = false;
-    } else if (trace_ratio > max_ratio) {
+    } else if (trace_ratio > *max_ratio) {
       std::printf("FAIL: tracing overhead %.4fx exceeds the %.4fx gate\n",
-                  trace_ratio, max_ratio);
+                  trace_ratio, *max_ratio);
       ok = false;
     } else {
       std::printf("  gate: %.4fx <= %.4fx (MFTI_TRACE_OVERHEAD_GATE)\n",
-                  trace_ratio, max_ratio);
+                  trace_ratio, *max_ratio);
     }
   }
 

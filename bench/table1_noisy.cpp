@@ -11,8 +11,9 @@
 // ||S(f_i)||_2, evaluated on the same noisy samples (as in the paper).
 //
 // The measured data of the paper (INC-board PDN, [10]) is proprietary;
-// DESIGN.md §5 documents the synthetic PDN substitute. Absolute numbers
-// therefore differ; the qualitative ordering is the reproduction target.
+// the synthetic PDN of netgen::make_pdn_circuit (src/netgen/pdn.hpp)
+// substitutes for it. Absolute numbers therefore differ; the qualitative
+// ordering is the reproduction target.
 
 #include <cstdio>
 #include <string>
@@ -72,9 +73,10 @@ Row run_mfti2(const sampling::SampleSet& data) {
   core::RecursiveMftiOptions opts;
   opts.data.uniform_t = 2;
   opts.units_per_iteration = 5;
-  // Scale-free stopping rule (EXPERIMENTS.md discusses this deviation from
-  // the paper's absolute-error sort): stop when the remaining samples are
-  // tangentially matched to 5%.
+  // Scale-free stopping rule, a deviation from the paper's absolute errors
+  // (RecursiveMftiOptions::relative_error): Th becomes a fraction of each
+  // unit's data, independent of the synthetic PDN's impedance scale. Stop
+  // when the remaining samples are tangentially matched to 5%.
   opts.relative_error = true;
   opts.selection = core::SelectionRule::WorstFirst;
   opts.threshold = 0.05;

@@ -3,7 +3,7 @@
 ///
 /// All stochastic pieces of the library (tangential directions, synthetic
 /// systems, measurement noise) draw from an explicitly seeded engine so that
-/// every experiment in EXPERIMENTS.md is bit-reproducible.
+/// every bench and test run is bit-reproducible.
 
 #pragma once
 

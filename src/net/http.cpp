@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
-#include <cstdlib>
+#include <optional>
 #include <utility>
 
 #include "net/status_http.hpp"
+#include "util/knobs.hpp"
 
 namespace mfti::net {
 
@@ -28,20 +29,6 @@ std::string_view trim(std::string_view s) {
     s.remove_suffix(1);
   }
   return s;
-}
-
-/// Parse a Content-Length value; returns false on anything but a plain
-/// non-negative decimal integer.
-bool parse_content_length(std::string_view value, std::size_t* out) {
-  if (value.empty()) return false;
-  std::size_t parsed = 0;
-  for (const char c : value) {
-    if (c < '0' || c > '9') return false;
-    if (parsed > (SIZE_MAX - 9) / 10) return false;
-    parsed = parsed * 10 + static_cast<std::size_t>(c - '0');
-  }
-  *out = parsed;
-  return true;
 }
 
 /// Split header block lines; returns false on a malformed line. Shared by
@@ -177,9 +164,11 @@ HttpRequestParser::State HttpRequestParser::parse_buffer() {
     }
     body_needed_ = 0;
     const std::string_view length = request_.header("content-length");
-    if (!length.empty() &&
-        !parse_content_length(length, &body_needed_)) {
-      return fail(400, "malformed content-length");
+    if (!length.empty()) {
+      const std::optional<std::uint64_t> parsed =
+          util::parse_uint(length, SIZE_MAX);
+      if (!parsed) return fail(400, "malformed content-length");
+      body_needed_ = static_cast<std::size_t>(*parsed);
     }
     if (body_needed_ > limits_.max_body_bytes) {
       return fail(413, "body exceeds limit");
@@ -316,9 +305,11 @@ HttpResponseParser::State HttpResponseParser::parse_buffer() {
     }
     body_needed_ = 0;
     const std::string_view length = response_.header("content-length");
-    if (!length.empty() &&
-        !parse_content_length(length, &body_needed_)) {
-      return fail("malformed content-length");
+    if (!length.empty()) {
+      const std::optional<std::uint64_t> parsed =
+          util::parse_uint(length, SIZE_MAX);
+      if (!parsed) return fail("malformed content-length");
+      body_needed_ = static_cast<std::size_t>(*parsed);
     }
     if (body_needed_ > limits_.max_body_bytes) {
       return fail("body exceeds limit");

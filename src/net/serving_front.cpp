@@ -2,20 +2,20 @@
 
 #include <algorithm>
 #include <array>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <utility>
 
 #include "io/snapshot.hpp"
 #include "net/json.hpp"
 #include "net/status_http.hpp"
+#include "util/knobs.hpp"
 
 namespace mfti::net {
 
@@ -23,78 +23,28 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-void env_size_knob(const char* name, std::size_t* value) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(env, &end, 10);
-  // strtoull "successfully" wraps negatives ('-1' -> huge) and saturates
-  // silently on overflow — reject both, not just trailing garbage.
-  if (end == env || *end != '\0' || std::strchr(env, '-') != nullptr ||
-      errno == ERANGE) {
-    std::fprintf(stderr,
-                 "[mfti.net] malformed %s='%s' (want a non-negative "
-                 "integer); keeping the default %zu\n",
-                 name, env, *value);
-    return;
-  }
-  *value = static_cast<std::size_t>(parsed);
-}
-
-void env_double_knob(const char* name, double* value) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return;
-  char* end = nullptr;
-  const double parsed = std::strtod(env, &end);
-  if (end == env || *end != '\0' || !(parsed >= 0.0)) {
-    std::fprintf(stderr,
-                 "[mfti.net] malformed %s='%s' (want a non-negative "
-                 "number); keeping the default %g\n",
-                 name, env, *value);
-    return;
-  }
-  *value = parsed;
-}
-
-void env_string_knob(const char* name, std::string* value) {
-  const char* env = std::getenv(name);
-  if (env != nullptr && *env != '\0') *value = env;
-}
-
 /// "keyA=4,keyB=2" -> {{"keyA",4},{"keyB",2}}; malformed entries are
 /// diagnosed and skipped.
-void env_weights_knob(const char* name,
-                      std::map<std::string, std::size_t>* weights) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return;
-  std::string_view spec(env);
+void parse_client_weights(std::string_view spec,
+                          std::map<std::string, std::size_t>* weights) {
   while (!spec.empty()) {
     std::size_t comma = spec.find(',');
     const std::string_view entry = spec.substr(0, comma);
     spec = comma == std::string_view::npos ? std::string_view{}
                                            : spec.substr(comma + 1);
     const std::size_t eq = entry.find('=');
-    std::size_t weight = 0;
-    if (eq != std::string_view::npos) {
-      const std::string digits(entry.substr(eq + 1));
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long parsed =
-          std::strtoull(digits.c_str(), &end, 10);
-      if (end != digits.c_str() && *end == '\0' && parsed > 0 &&
-          digits.find('-') == std::string::npos && errno != ERANGE) {
-        weight = static_cast<std::size_t>(parsed);
-      }
-    }
-    if (eq == std::string_view::npos || eq == 0 || weight == 0) {
+    const std::optional<std::uint64_t> weight =
+        eq == std::string_view::npos ? std::nullopt
+                                     : util::parse_uint(entry.substr(eq + 1));
+    if (eq == 0 || !weight || *weight == 0) {
       std::fprintf(stderr,
-                   "[mfti.net] malformed %s entry '%.*s' (want key=weight "
-                   "with weight >= 1); skipping it\n",
-                   name, static_cast<int>(entry.size()), entry.data());
+                   "[mfti] malformed MFTI_HTTP_CLIENT_WEIGHTS entry '%.*s' "
+                   "(want key=weight with weight >= 1); skipping it\n",
+                   static_cast<int>(entry.size()), entry.data());
       continue;
     }
-    (*weights)[std::string(entry.substr(0, eq))] = weight;
+    (*weights)[std::string(entry.substr(0, eq))] =
+        static_cast<std::size_t>(*weight);
   }
 }
 
@@ -246,18 +196,20 @@ api::Status parse_points(const Json& item, serving::EvalRequest* out) {
 ServingFrontOptions ServingFrontOptions::from_env() {
   ServingFrontOptions opts;
   std::size_t port = 0;
-  env_size_knob("MFTI_HTTP_PORT", &port);
+  util::env_knob("MFTI_HTTP_PORT", &port, 65535);
   opts.port = static_cast<int>(port);
-  env_string_knob("MFTI_HTTP_BIND", &opts.bind_address);
-  env_size_knob("MFTI_HTTP_WORKERS", &opts.workers);
-  env_size_knob("MFTI_HTTP_MAX_QUEUED", &opts.max_queued);
-  env_size_knob("MFTI_HTTP_IDLE_TIMEOUT_MS", &opts.idle_timeout_ms);
-  env_size_knob("MFTI_HTTP_MAX_BODY_BYTES", &opts.limits.max_body_bytes);
-  env_double_knob("MFTI_HTTP_RATE_QPS", &opts.rate.tokens_per_second);
-  env_double_knob("MFTI_HTTP_RATE_BURST", &opts.rate.burst);
-  env_weights_knob("MFTI_HTTP_CLIENT_WEIGHTS", &opts.client_weights);
-  env_string_knob("MFTI_HTTP_ADMIN_TOKEN", &opts.admin_token);
-  env_size_knob("MFTI_HTTP_DEADLINE_MS", &opts.default_deadline_ms);
+  util::env_knob("MFTI_HTTP_BIND", &opts.bind_address);
+  util::env_knob("MFTI_HTTP_WORKERS", &opts.workers);
+  util::env_knob("MFTI_HTTP_MAX_QUEUED", &opts.max_queued);
+  util::env_knob("MFTI_HTTP_IDLE_TIMEOUT_MS", &opts.idle_timeout_ms);
+  util::env_knob("MFTI_HTTP_MAX_BODY_BYTES", &opts.limits.max_body_bytes);
+  util::env_knob("MFTI_HTTP_RATE_QPS", &opts.rate.tokens_per_second);
+  util::env_knob("MFTI_HTTP_RATE_BURST", &opts.rate.burst);
+  std::string weights;
+  util::env_knob("MFTI_HTTP_CLIENT_WEIGHTS", &weights);
+  parse_client_weights(weights, &opts.client_weights);
+  util::env_knob("MFTI_HTTP_ADMIN_TOKEN", &opts.admin_token);
+  util::env_knob("MFTI_HTTP_DEADLINE_MS", &opts.default_deadline_ms);
   opts.trace = obs::TraceOptions::from_env();
   return opts;
 }
@@ -581,21 +533,15 @@ HttpResponse ServingFront::handle_eval(
   std::size_t deadline_ms = opts_.default_deadline_ms;
   const std::string_view header = request.header("x-deadline-ms");
   if (!header.empty()) {
-    char* end = nullptr;
-    const std::string text(header);
-    errno = 0;
-    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-    // strtoull wraps negatives and saturates on overflow without failing;
-    // unchecked, '-1' overflows the chrono::milliseconds below into a
-    // deadline in the past and a bogus 408. Cap at 24 h.
-    constexpr unsigned long long kMaxDeadlineMs = 86'400'000;
-    if (end == text.c_str() || *end != '\0' ||
-        text.find('-') != std::string::npos || errno == ERANGE ||
-        value > kMaxDeadlineMs) {
+    // Capped at 24 h: huge values would overflow the deadline arithmetic
+    // below into the past and answer a bogus 408.
+    const std::optional<std::uint64_t> value =
+        util::parse_uint(header, 86'400'000);
+    if (!value) {
       return error_response(api::Status::invalid_argument(
           "malformed X-Deadline-Ms header (want 0..86400000)"));
     }
-    deadline_ms = static_cast<std::size_t>(value);
+    deadline_ms = static_cast<std::size_t>(*value);
   }
   std::optional<api::CancellationToken> token;
   if (deadline_ms > 0) {
@@ -796,11 +742,9 @@ HttpResponse ServingFront::handle_admin(const HttpRequest& request,
     const std::string version_text(
         rest.substr(version_slash + 1, action_slash - version_slash - 1));
     const std::string_view action = rest.substr(action_slash + 1);
-    char* end = nullptr;
-    const unsigned long long version =
-        std::strtoull(version_text.c_str(), &end, 10);
-    if (end == version_text.c_str() || *end != '\0' ||
-        version_text.find('-') != std::string::npos) {
+    const std::optional<std::uint64_t> version =
+        util::parse_uint(version_text);
+    if (!version) {
       return error_response(api::Status::invalid_argument(
           "malformed quarantine version '" + version_text + "'"));
     }
@@ -817,7 +761,7 @@ HttpResponse ServingFront::handle_admin(const HttpRequest& request,
           force = flag->as_bool();
         }
       }
-      auto info = registry_.promote(name, version, force);
+      auto info = registry_.promote(name, *version, force);
       if (!info) return error_response(info.status());
       Json body = Json::object();
       body.set("name", Json(info->name));
@@ -827,11 +771,11 @@ HttpResponse ServingFront::handle_admin(const HttpRequest& request,
       return json_response(200, body);
     }
     if (action == "discard") {
-      const api::Status status = registry_.discard(name, version);
+      const api::Status status = registry_.discard(name, *version);
       if (!status.is_ok()) return error_response(status);
       Json body = Json::object();
       body.set("name", Json(name));
-      body.set("version", Json(static_cast<double>(version)));
+      body.set("version", Json(static_cast<double>(*version)));
       body.set("discarded", Json(true));
       return json_response(200, body);
     }

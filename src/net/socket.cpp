@@ -156,6 +156,10 @@ void Listener::close() {
 api::Status Listener::listen(const std::string& address, int port,
                              int backlog) {
   close();
+  if (port < 0 || port > 65535) {
+    return api::Status::invalid_argument(
+        "bad port " + std::to_string(port) + " (want 0..65535)");
+  }
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd_ < 0) return api::Status::internal(errno_text("socket"));
   const int one = 1;

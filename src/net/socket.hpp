@@ -70,7 +70,8 @@ class Listener {
   Listener& operator=(Listener&&) = delete;
 
   /// Bind to `address:port` and listen; `port == 0` picks an ephemeral
-  /// port, readable afterwards from `port()`.
+  /// port, readable afterwards from `port()`. A port outside 0..65535 is
+  /// `invalid_argument`.
   api::Status listen(const std::string& address, int port, int backlog = 64);
 
   bool valid() const { return fd_ >= 0; }

@@ -1,11 +1,10 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
+
+#include "util/knobs.hpp"
 
 namespace mfti::obs {
 
@@ -14,53 +13,6 @@ namespace {
 /// Response headers and ring keys should stay small even for a hostile
 /// X-Request-Id; anything longer is truncated, not rejected.
 constexpr std::size_t kMaxRequestIdLength = 128;
-
-void env_size_knob(const char* name, std::size_t* value) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0' || std::strchr(env, '-') != nullptr ||
-      errno == ERANGE) {
-    std::fprintf(stderr,
-                 "[mfti.obs] malformed %s='%s' (want a non-negative "
-                 "integer); keeping the default %zu\n",
-                 name, env, *value);
-    return;
-  }
-  *value = static_cast<std::size_t>(parsed);
-}
-
-void env_double_knob(const char* name, double* value) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return;
-  char* end = nullptr;
-  const double parsed = std::strtod(env, &end);
-  if (end == env || *end != '\0' || !(parsed >= 0.0)) {
-    std::fprintf(stderr,
-                 "[mfti.obs] malformed %s='%s' (want a non-negative "
-                 "number); keeping the default %g\n",
-                 name, env, *value);
-    return;
-  }
-  *value = parsed;
-}
-
-void env_bool_knob(const char* name, bool* value) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return;
-  if (std::strcmp(env, "0") == 0) {
-    *value = false;
-  } else if (std::strcmp(env, "1") == 0) {
-    *value = true;
-  } else {
-    std::fprintf(stderr,
-                 "[mfti.obs] malformed %s='%s' (want 0 or 1); keeping "
-                 "the default %d\n",
-                 name, env, *value ? 1 : 0);
-  }
-}
 
 void atomic_add(std::atomic<double>* target, double value) {
   double current = target->load(std::memory_order_relaxed);
@@ -93,10 +45,10 @@ const char* stage_name(Stage stage) {
 
 TraceOptions TraceOptions::from_env() {
   TraceOptions opts;
-  env_bool_knob("MFTI_TRACE", &opts.enabled);
-  env_size_knob("MFTI_TRACE_RING", &opts.ring_capacity);
-  env_double_knob("MFTI_TRACE_SLOW_MS", &opts.slow_threshold_ms);
-  env_size_knob("MFTI_TRACE_MAX_SPANS", &opts.max_spans);
+  util::env_knob("MFTI_TRACE", &opts.enabled);
+  util::env_knob("MFTI_TRACE_RING", &opts.ring_capacity);
+  util::env_knob("MFTI_TRACE_SLOW_MS", &opts.slow_threshold_ms);
+  util::env_knob("MFTI_TRACE_MAX_SPANS", &opts.max_spans);
   return opts;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
 #include <system_error>
@@ -10,6 +9,7 @@
 
 #include "io/snapshot.hpp"
 #include "serving/registry_journal.hpp"
+#include "util/knobs.hpp"
 
 namespace mfti::serving {
 
@@ -21,28 +21,12 @@ namespace {
 constexpr const char* kSnapshotFile = "registry.snapshot";
 constexpr const char* kJournalFile = "registry.journal";
 
-void env_size_override(const char* name, std::size_t* value) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0') {
-    std::fprintf(stderr,
-                 "[mfti.serving] malformed %s='%s' (want a non-negative "
-                 "integer); keeping the default %zu\n",
-                 name, env, *value);
-    return;
-  }
-  *value = static_cast<std::size_t>(parsed);
-}
-
 }  // namespace
 
 RegistryPersistenceOptions RegistryPersistenceOptions::from_env() {
   RegistryPersistenceOptions opts;
-  env_size_override("MFTI_JOURNAL_COMPACT_RECORDS",
-                    &opts.compact_min_records);
-  env_size_override("MFTI_JOURNAL_COMPACT_BYTES", &opts.compact_min_bytes);
+  util::env_knob("MFTI_JOURNAL_COMPACT_RECORDS", &opts.compact_min_records);
+  util::env_knob("MFTI_JOURNAL_COMPACT_BYTES", &opts.compact_min_bytes);
   return opts;
 }
 

@@ -1,10 +1,7 @@
 #include "serving/verification.hpp"
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <limits>
 #include <string>
@@ -14,6 +11,7 @@
 #include "linalg/eig.hpp"
 #include "linalg/matrix.hpp"
 #include "metrics/error.hpp"
+#include "util/knobs.hpp"
 
 namespace mfti::serving {
 
@@ -29,63 +27,6 @@ std::string format_double(double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%g", v);
   return buf;
-}
-
-void env_size_knob(const char* name, std::size_t* value) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0' || std::strchr(env, '-') != nullptr ||
-      errno == ERANGE) {
-    std::fprintf(stderr,
-                 "[mfti.serving] malformed %s='%s' (want a non-negative "
-                 "integer); keeping the default %zu\n",
-                 name, env, *value);
-    return;
-  }
-  *value = static_cast<std::size_t>(parsed);
-}
-
-void env_double_knob(const char* name, double* value) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return;
-  char* end = nullptr;
-  const double parsed = std::strtod(env, &end);
-  if (end == env || *end != '\0' || !(parsed >= 0.0)) {
-    std::fprintf(stderr,
-                 "[mfti.serving] malformed %s='%s' (want a non-negative "
-                 "number); keeping the default %g\n",
-                 name, env, *value);
-    return;
-  }
-  *value = parsed;
-}
-
-bool env_truthy(const char* value) {
-  return std::strcmp(value, "1") == 0 || std::strcmp(value, "on") == 0 ||
-         std::strcmp(value, "true") == 0 || std::strcmp(value, "yes") == 0;
-}
-
-bool env_falsy(const char* value) {
-  return std::strcmp(value, "0") == 0 || std::strcmp(value, "off") == 0 ||
-         std::strcmp(value, "false") == 0 || std::strcmp(value, "no") == 0;
-}
-
-void env_bool_knob(const char* name, bool* value) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return;
-  if (env_truthy(env)) {
-    *value = true;
-  } else if (env_falsy(env)) {
-    *value = false;
-  } else {
-    std::fprintf(stderr,
-                 "[mfti.serving] malformed %s='%s' (want 0/1/on/off); "
-                 "keeping the default %d\n",
-                 name, env, *value ? 1 : 0);
-  }
 }
 
 VerificationCheck check_passivity(const VerificationOptions& opts,
@@ -211,19 +152,6 @@ std::string VerificationReport::summary() const {
 VerificationPolicy::VerificationPolicy(VerificationOptions opts)
     : opts_(opts) {}
 
-VerificationOptions VerificationPolicy::options_from_env() {
-  VerificationOptions opts;
-  env_bool_knob("MFTI_VERIFY_PASSIVITY", &opts.check_passivity);
-  env_double_knob("MFTI_VERIFY_BAND_LO_HZ", &opts.band_lo_hz);
-  env_double_knob("MFTI_VERIFY_BAND_HI_HZ", &opts.band_hi_hz);
-  env_size_knob("MFTI_VERIFY_GRID_POINTS", &opts.grid_points);
-  env_double_knob("MFTI_VERIFY_TOLERANCE", &opts.passivity_tolerance);
-  env_bool_knob("MFTI_VERIFY_STABILITY", &opts.check_stability);
-  env_double_knob("MFTI_VERIFY_STABILITY_MARGIN", &opts.stability_margin);
-  env_double_knob("MFTI_VERIFY_MAX_FIT_ERROR", &opts.max_fit_error);
-  return opts;
-}
-
 VerificationReport VerificationPolicy::verify(
     const ss::DescriptorSystem& model,
     const sampling::SampleSet* held_out) const noexcept {
@@ -259,16 +187,19 @@ VerificationReport VerificationPolicy::verify(
 }
 
 std::optional<VerificationPolicy> verification_policy_from_env() {
-  const char* env = std::getenv("MFTI_VERIFY");
-  if (env == nullptr || *env == '\0' || env_falsy(env)) return std::nullopt;
-  if (!env_truthy(env)) {
-    std::fprintf(stderr,
-                 "[mfti.serving] malformed MFTI_VERIFY='%s' (want "
-                 "0/1/on/off); verification stays off\n",
-                 env);
-    return std::nullopt;
-  }
-  return VerificationPolicy(VerificationPolicy::options_from_env());
+  bool enabled = false;
+  util::env_knob("MFTI_VERIFY", &enabled);
+  if (!enabled) return std::nullopt;
+  VerificationOptions opts;
+  util::env_knob("MFTI_VERIFY_PASSIVITY", &opts.check_passivity);
+  util::env_knob("MFTI_VERIFY_BAND_LO_HZ", &opts.band_lo_hz);
+  util::env_knob("MFTI_VERIFY_BAND_HI_HZ", &opts.band_hi_hz);
+  util::env_knob("MFTI_VERIFY_GRID_POINTS", &opts.grid_points);
+  util::env_knob("MFTI_VERIFY_TOLERANCE", &opts.passivity_tolerance);
+  util::env_knob("MFTI_VERIFY_STABILITY", &opts.check_stability);
+  util::env_knob("MFTI_VERIFY_STABILITY_MARGIN", &opts.stability_margin);
+  util::env_knob("MFTI_VERIFY_MAX_FIT_ERROR", &opts.max_fit_error);
+  return VerificationPolicy(opts);
 }
 
 }  // namespace mfti::serving

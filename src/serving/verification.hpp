@@ -92,14 +92,6 @@ class VerificationPolicy {
   VerificationPolicy() = default;
   explicit VerificationPolicy(VerificationOptions opts);
 
-  /// Defaults overridden by the `MFTI_VERIFY_*` environment knobs —
-  /// `MFTI_VERIFY_BAND_LO_HZ`, `MFTI_VERIFY_BAND_HI_HZ`,
-  /// `MFTI_VERIFY_GRID_POINTS`, `MFTI_VERIFY_TOLERANCE`,
-  /// `MFTI_VERIFY_STABILITY`, `MFTI_VERIFY_STABILITY_MARGIN`,
-  /// `MFTI_VERIFY_PASSIVITY`, `MFTI_VERIFY_MAX_FIT_ERROR` — malformed
-  /// values are diagnosed on stderr and ignored.
-  static VerificationOptions options_from_env();
-
   /// Run every enabled check against `model`; `held_out` (may be null)
   /// enables the fit-error check. Never throws.
   VerificationReport verify(const ss::DescriptorSystem& model,
@@ -112,11 +104,15 @@ class VerificationPolicy {
   VerificationOptions opts_;
 };
 
-/// The daemon-side switch: a policy built from `MFTI_VERIFY_*` when
-/// `MFTI_VERIFY` is truthy ("1"/"on"/"true"), otherwise nullopt (gate
-/// off). `mfti_serve` and `mfti_client seed` install the result into
-/// their registry so a deployment turns verified publishing on without a
-/// rebuild.
+/// The daemon-side switch: nullopt (gate off) unless `MFTI_VERIFY` is
+/// true (`1`/`on`/`true`/`yes`); then a policy whose defaults are
+/// overridden by `MFTI_VERIFY_PASSIVITY`, `MFTI_VERIFY_BAND_LO_HZ`,
+/// `MFTI_VERIFY_BAND_HI_HZ`, `MFTI_VERIFY_GRID_POINTS`,
+/// `MFTI_VERIFY_TOLERANCE`, `MFTI_VERIFY_STABILITY`,
+/// `MFTI_VERIFY_STABILITY_MARGIN` and `MFTI_VERIFY_MAX_FIT_ERROR`
+/// (malformed values are diagnosed on stderr and ignored). `mfti_serve`
+/// installs the result into its registry so a deployment turns verified
+/// publishing on without a rebuild.
 std::optional<VerificationPolicy> verification_policy_from_env();
 
 }  // namespace mfti::serving

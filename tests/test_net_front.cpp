@@ -139,6 +139,20 @@ std::string eval_body(const std::string& model, std::size_t points,
 
 }  // namespace
 
+// A port beyond 16 bits is refused, not truncated: 65616 would otherwise
+// bind port 80 and 65536 an ephemeral port.
+TEST(Listener, RejectsPortsOutsideZeroTo65535) {
+  for (const int port : {-1, 65536, 65616}) {
+    net::Listener listener;
+    const api::Status status = listener.listen("127.0.0.1", port);
+    EXPECT_EQ(status.code(), api::StatusCode::InvalidArgument) << port;
+    EXPECT_FALSE(listener.valid()) << port;
+  }
+  net::Listener ephemeral;
+  ASSERT_TRUE(ephemeral.listen("127.0.0.1", 0).is_ok());
+  EXPECT_GT(ephemeral.port(), 0);
+}
+
 TEST(ServingFront, EvalParityIsBitExact) {
   serving::ModelRegistry registry;
   const auto snapshot = make_snapshot(24, 2, 7);
@@ -412,11 +426,15 @@ TEST(ServingFront, QuarantineAdminLifecycleOverHttp) {
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(again->status, 404);
 
-  // Malformed version / unknown action are client errors, not crashes.
-  auto bad_version = client.request(
-      "POST", "/v1/admin/quarantine/m/abc/promote", "{}", token);
-  ASSERT_TRUE(bad_version.has_value());
-  EXPECT_EQ(bad_version->status, 400);
+  // Malformed version / unknown action are client errors, not crashes. An
+  // overflowing version is malformed too, not a lookup of 2^64 - 1.
+  for (const char* bad : {"abc", "99999999999999999999", "+2"}) {
+    auto bad_version = client.request(
+        "POST", std::string("/v1/admin/quarantine/m/") + bad + "/promote",
+        "{}", token);
+    ASSERT_TRUE(bad_version.has_value()) << bad;
+    EXPECT_EQ(bad_version->status, 400) << bad;
+  }
   auto bad_action = client.request(
       "POST", "/v1/admin/quarantine/m/2/frobnicate", "{}", token);
   ASSERT_TRUE(bad_action.has_value());
@@ -534,9 +552,9 @@ TEST(ServingFront, DeadlineExpiryAnswers408) {
   ASSERT_TRUE(fine.has_value());
   EXPECT_EQ(fine->status, 200);
 
-  // Malformed deadlines are a 400, never a wrapped-around instant 408:
-  // strtoull parses '-1' and 20-digit values "successfully" otherwise.
-  for (const char* bad : {"-1", "99999999999999999999", "86400001", "1x"}) {
+  // Malformed deadlines are a 400, never a wrapped-around instant 408.
+  for (const char* bad :
+       {"-1", "+5", "99999999999999999999", "86400001", "1x"}) {
     auto malformed = client.request("POST", "/v1/eval", eval_body("slow", 4),
                                     {{"X-Deadline-Ms", bad}});
     ASSERT_TRUE(malformed.has_value()) << bad;

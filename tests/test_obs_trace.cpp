@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "api/api.hpp"
+#include "scoped_env.hpp"
 #include "serving/serving.hpp"
 #include "statespace/random_system.hpp"
 
@@ -71,32 +72,6 @@ std::vector<obs::Span> spans_of(const std::vector<obs::Span>& spans,
   }
   return out;
 }
-
-/// Scoped environment override restoring the previous value on exit, so
-/// from_env tests cannot leak state into each other.
-class EnvVar {
- public:
-  EnvVar(const char* name, const char* value) : name_(name) {
-    const char* previous = std::getenv(name);
-    if (previous != nullptr) {
-      had_previous_ = true;
-      previous_ = previous;
-    }
-    ::setenv(name, value, 1);
-  }
-  ~EnvVar() {
-    if (had_previous_) {
-      ::setenv(name_, previous_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_previous_ = false;
-  std::string previous_;
-};
 
 }  // namespace
 
@@ -284,10 +259,10 @@ TEST(TraceCollector, StageHistogramsBucketObservations) {
 
 TEST(TraceOptions, FromEnvReadsKnobsAndIgnoresMalformedValues) {
   {
-    EnvVar enabled("MFTI_TRACE", "0");
-    EnvVar ring("MFTI_TRACE_RING", "7");
-    EnvVar slow("MFTI_TRACE_SLOW_MS", "12.5");
-    EnvVar spans("MFTI_TRACE_MAX_SPANS", "33");
+    ScopedEnv enabled("MFTI_TRACE", "0");
+    ScopedEnv ring("MFTI_TRACE_RING", "7");
+    ScopedEnv slow("MFTI_TRACE_SLOW_MS", "12.5");
+    ScopedEnv spans("MFTI_TRACE_MAX_SPANS", "33");
     const obs::TraceOptions opts = obs::TraceOptions::from_env();
     EXPECT_FALSE(opts.enabled);
     EXPECT_EQ(opts.ring_capacity, 7u);
@@ -295,8 +270,8 @@ TEST(TraceOptions, FromEnvReadsKnobsAndIgnoresMalformedValues) {
     EXPECT_EQ(opts.max_spans, 33u);
   }
   {
-    EnvVar ring("MFTI_TRACE_RING", "banana");
-    EnvVar slow("MFTI_TRACE_SLOW_MS", "-3");
+    ScopedEnv ring("MFTI_TRACE_RING", "banana");
+    ScopedEnv slow("MFTI_TRACE_SLOW_MS", "-3");
     const obs::TraceOptions defaults;
     const obs::TraceOptions opts = obs::TraceOptions::from_env();
     EXPECT_EQ(opts.ring_capacity, defaults.ring_capacity);

@@ -26,6 +26,7 @@
 #include "io/fault_injector.hpp"
 #include "sampling/grid.hpp"
 #include "sampling/sampler.hpp"
+#include "scoped_env.hpp"
 #include "serving/serving.hpp"
 
 namespace api = mfti::api;
@@ -118,29 +119,6 @@ const serving::VerificationCheck* find_check(
   }
   return nullptr;
 }
-
-/// RAII environment variable override (tests run serially).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      ::setenv(name_.c_str(), saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string saved_;
-  bool had_ = false;
-};
 
 }  // namespace
 

@@ -4,9 +4,9 @@
 Checks, over every tracked markdown file:
 
   1. Knob existence — every `MFTI_*` token documented in markdown must
-     appear in the source tree (C++ getenv, CMakeLists option, or CI
-     workflow), and vice versa: every `MFTI_*` knob the source reads
-     must be documented somewhere in markdown.
+     appear in the source tree (C++ `util::env_knob` or getenv, CMakeLists
+     option, or CI workflow), and vice versa: every `MFTI_*` knob the
+     source reads must be documented somewhere in markdown.
   2. CLI flags — every backticked `--flag` in markdown must appear in
      the repo's own sources/scripts (small allowlist for flags of
      external tools like cmake/ctest).
@@ -102,6 +102,7 @@ def main():
     in_source = set(KNOB_RE.findall(source_blob))
     user_facing = set()
     for pat in (
+            r'env_knob\(\s*"(MFTI_[A-Z0-9_]+)"',            # C++ knobs
             r'getenv\(\s*"(MFTI_[A-Z0-9_]+)"',              # C++
             r'environ(?:\.get)?[\(\[]\s*["\'](MFTI_[A-Z0-9_]+)',  # python
             r'option\(\s*(MFTI_[A-Z0-9_]+)',                # CMake option

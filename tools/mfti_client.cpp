@@ -41,18 +41,18 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "io/snapshot.hpp"
 #include "net/net.hpp"
 #include "serving/serving.hpp"
 #include "statespace/random_system.hpp"
+#include "util/knobs.hpp"
 
 namespace api = mfti::api;
 namespace io = mfti::io;
@@ -87,7 +87,21 @@ Args parse_args(int argc, char** argv) {
     return out;
   }
   out.mode = argv[1];
-  for (int i = 2; i < argc; ++i) {
+  int i = 2;
+  // The value after a numeric flag: a whole decimal integer <= max, or
+  // the arguments are invalid (usage error).
+  const auto number = [&](auto* value, std::uint64_t max) {
+    const char* text = argv[++i];
+    const auto parsed = mfti::util::parse_uint(text, max);
+    if (!parsed) {
+      std::fprintf(stderr, "malformed %s '%s' (want an integer 0..%llu)\n",
+                   argv[i - 1], text, static_cast<unsigned long long>(max));
+      out.valid = false;
+      return;
+    }
+    *value = static_cast<std::remove_pointer_t<decltype(value)>>(*parsed);
+  };
+  for (; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
     if (arg == "--dir" && has_value) {
@@ -95,19 +109,19 @@ Args parse_args(int argc, char** argv) {
     } else if (arg == "--host" && has_value) {
       out.host = argv[++i];
     } else if (arg == "--port" && has_value) {
-      out.port = std::atoi(argv[++i]);
+      number(&out.port, 65535);
     } else if (arg == "--models" && has_value) {
-      out.models = static_cast<std::size_t>(std::atoi(argv[++i]));
+      number(&out.models, SIZE_MAX);
     } else if (arg == "--rounds" && has_value) {
-      out.rounds = static_cast<std::size_t>(std::atoi(argv[++i]));
+      number(&out.rounds, SIZE_MAX);
     } else if (arg == "--json" && has_value) {
       out.json_path = argv[++i];
     } else if (arg == "--admin-token" && has_value) {
       out.admin_token = argv[++i];
     } else if (arg == "--max-retries" && has_value) {
-      out.max_retries = static_cast<std::size_t>(std::atoi(argv[++i]));
+      number(&out.max_retries, SIZE_MAX);
     } else if (arg == "--backoff-ms" && has_value) {
-      out.backoff_ms = static_cast<std::size_t>(std::atoi(argv[++i]));
+      number(&out.backoff_ms, SIZE_MAX);
     } else if (arg == "--expect-429") {
       out.expect_429 = true;
     } else {
@@ -117,8 +131,7 @@ Args parse_args(int argc, char** argv) {
     }
   }
   if (out.admin_token.empty()) {
-    const char* env = std::getenv("MFTI_HTTP_ADMIN_TOKEN");
-    if (env != nullptr) out.admin_token = env;
+    mfti::util::env_knob("MFTI_HTTP_ADMIN_TOKEN", &out.admin_token);
   }
   return out;
 }
@@ -249,10 +262,10 @@ class RetryingClient {
                                                    100ULL) /
                             100.0;
       if (response.has_value()) {
-        const std::string retry_after(response->header("retry-after"));
-        if (!retry_after.empty()) {
-          const double server_ms = std::atof(retry_after.c_str()) * 1000.0;
-          delay_ms = std::max(delay_ms, server_ms);
+        // Delay-seconds only; an HTTP-date or garbage keeps the backoff.
+        if (const auto seconds = mfti::util::parse_double(
+                response->header("retry-after"))) {
+          delay_ms = std::max(delay_ms, *seconds * 1000.0);
         }
       }
       delay_ms = std::min(delay_ms, 5000.0);

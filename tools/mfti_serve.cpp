@@ -16,8 +16,6 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,6 +23,7 @@
 #include "net/net.hpp"
 #include "obs/build_info.hpp"
 #include "serving/serving.hpp"
+#include "util/knobs.hpp"
 
 namespace {
 
@@ -54,7 +53,15 @@ int main(int argc, char** argv) {
     if (arg == "--dir" && i + 1 < argc) {
       dir = argv[++i];
     } else if (arg == "--port" && i + 1 < argc) {
-      opts.port = std::atoi(argv[++i]);
+      const char* text = argv[++i];
+      const auto port = mfti::util::parse_uint(text, 65535);
+      if (!port) {
+        std::fprintf(stderr,
+                     "mfti_serve: malformed --port '%s' (want 0..65535)\n",
+                     text);
+        return usage(argv[0]);
+      }
+      opts.port = static_cast<int>(*port);
     } else if (arg == "--port-file" && i + 1 < argc) {
       port_file = argv[++i];
     } else {
