@@ -323,22 +323,40 @@ class Parser {
     return error("unterminated string");
   }
 
+  std::size_t skip_digits() {
+    const std::size_t first = pos_;
+    while (pos_ < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+      ++pos_;
+    }
+    return pos_ - first;
+  }
+
+  /// An RFC 8259 number, `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`,
+  /// whose value is finite: `+1`, `.5`, `1.`, `01` and `1e999` are errors.
+  /// Values that underflow to zero or a subnormal are accepted.
   api::Status parse_number(Json* out) {
     const std::size_t start = pos_;
     consume('-');
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
+    const std::size_t int_start = pos_;
+    const std::size_t int_digits = skip_digits();
     if (pos_ == start) return error("expected value");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0') {
+    // A leading zero stands alone.
+    bool ok = int_digits == 1 || (int_digits > 1 && text_[int_start] != '0');
+    if (ok && consume('.')) ok = skip_digits() > 0;
+    if (ok && (consume('e') || consume('E'))) {
+      if (!consume('+')) consume('-');
+      ok = skip_digits() > 0;
+    }
+    if (!ok) {
       pos_ = start;
       return error("bad number");
+    }
+    const std::string token(text_.substr(start, pos_ - start));
+    const double value = std::strtod(token.c_str(), nullptr);
+    if (!std::isfinite(value)) {
+      pos_ = start;
+      return error("number out of range");
     }
     *out = Json(value);
     return api::Status::ok();

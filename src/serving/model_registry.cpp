@@ -30,101 +30,137 @@ RegistryPersistenceOptions RegistryPersistenceOptions::from_env() {
   return opts;
 }
 
-ModelRegistry::ModelRegistry(ModelRegistryOptions opts) : opts_(opts) {
+ModelRegistry::ModelRegistry(ModelRegistryOptions opts)
+    : opts_(opts), state_(std::make_shared<const State>()) {
   opts_.max_versions = std::max<std::size_t>(1, opts_.max_versions);
-  state_.store(std::make_shared<const State>(), std::memory_order_release);
 }
 
 ModelRegistry::~ModelRegistry() = default;
 
-// --- mutations --------------------------------------------------------------
-//
-// Every mutation is the same copy-and-swap: under `mutex_`, clone the
-// current state (shallow — histories copy `shared_ptr`s, not models),
-// journal the record write-ahead (durable registries; a failure discards
-// the clone, so the registry is observably unchanged), apply the mutation
-// to the clone, release-store the clone as the new state, then consider
-// compaction. Readers racing the store see either the old or the new
-// state in full — never a partial mutation.
-
-std::uint64_t ModelRegistry::publish_locked(
-    State& next, const std::string& name, ModelSnapshot handle,
-    std::optional<api::Algorithm> algorithm, double fit_seconds) {
-  const auto found = next.models.find(name);
-  Version version;
-  version.info.name = name;
-  version.info.version =
-      found == next.models.end() ? 1 : found->second.next_version;
-  version.info.order = handle->order();
-  version.info.num_inputs = handle->num_inputs();
-  version.info.num_outputs = handle->num_outputs();
-  version.info.algorithm = algorithm;
-  version.info.fit_seconds = fit_seconds;
-  version.info.published_at = std::chrono::system_clock::now();
-  version.handle = std::move(handle);
-  if (journal_) {
-    JournalRecord record;
-    record.op = kRecordPublish;
-    record.seq = seq_ + 1;
-    record.name = name;
-    record.version =
-        PersistedVersion{version.info, version.handle->model()};
-    if (const auto status = journal_locked(record); !status.is_ok()) {
-      throw std::runtime_error("ModelRegistry::publish: " +
-                               status.to_string());
-    }
-  }
-  ++seq_;
-  ++next.generation;
-  Entry& entry = next.models[name];
-  entry.next_version = version.info.version + 1;
-  entry.history.push_back(std::move(version));
-  if (entry.history.size() > opts_.max_versions) {
-    entry.history.erase(entry.history.begin(),
-                        entry.history.end() - opts_.max_versions);
-  }
-  entry.history.back().info.history_depth = entry.history.size() - 1;
-  return entry.history.back().info.version;
+ModelRegistry::StatePtr ModelRegistry::state() const {
+  std::lock_guard<std::mutex> lock(state_mutex_);
+  return state_;
 }
 
-std::uint64_t ModelRegistry::quarantine_locked(
-    State& next, const std::string& name, ModelSnapshot handle,
-    std::optional<api::Algorithm> algorithm, double fit_seconds,
-    const VerificationReport& report) {
-  const auto found = next.models.find(name);
-  QVersion q;
-  q.info.name = name;
-  q.info.version =
-      found == next.models.end() ? 1 : found->second.next_version;
-  q.info.order = handle->order();
-  q.info.num_inputs = handle->num_inputs();
-  q.info.num_outputs = handle->num_outputs();
-  q.info.algorithm = algorithm;
-  q.info.fit_seconds = fit_seconds;
-  q.info.published_at = std::chrono::system_clock::now();
-  q.handle = std::move(handle);
-  q.report = report;
-  if (journal_) {
-    JournalRecord record;
-    record.op = kRecordQuarantine;
-    record.seq = seq_ + 1;
-    record.name = name;
-    record.version = PersistedVersion{q.info, q.handle->model()};
-    record.verification = report;
-    if (const auto status = journal_locked(record); !status.is_ok()) {
-      throw std::runtime_error("ModelRegistry::publish: " +
-                               status.to_string());
+void ModelRegistry::swap_state(StatePtr next) {
+  std::lock_guard<std::mutex> lock(state_mutex_);
+  state_.swap(next);
+  // `next` now holds the replaced state; the lock is released before it.
+}
+
+// --- mutations --------------------------------------------------------------
+//
+// Every mutation is one `JournalRecord` and `apply` is the only code that
+// changes a `State`: the writers run it through `commit` (clone, apply,
+// append write-ahead, swap), and `open` runs it over the journal. Readers
+// racing the swap see either the old or the new state in full — never a
+// partial mutation.
+
+namespace {
+
+api::Status quarantined_not_found(const std::string& name,
+                                  std::uint64_t version) {
+  return api::Status::not_found("no quarantined version " +
+                                std::to_string(version) + " of '" + name +
+                                "'");
+}
+
+api::Status model_not_found(const std::string& name) {
+  return api::Status::not_found("no model named '" + name + "'");
+}
+
+}  // namespace
+
+api::Status ModelRegistry::apply(State& state,
+                                 const JournalRecord& record) const {
+  const std::string& name = record.name;
+  // Publish and promote both make a version live.
+  const auto push_live = [&](VersionedModel version) {
+    Entry& entry = state.models[name];
+    entry.next_version =
+        std::max(entry.next_version, version.info.version + 1);
+    entry.history.push_back(std::move(version));
+    if (entry.history.size() > opts_.max_versions) {
+      entry.history.erase(entry.history.begin(),
+                          entry.history.end() - opts_.max_versions);
     }
+    entry.history.back().info.history_depth = entry.history.size() - 1;
+  };
+  switch (record.op) {
+    case kRecordPublish:
+      push_live(record.version);
+      break;
+    case kRecordQuarantine: {
+      // The (possibly history-less) entry tracks next_version so
+      // quarantined and live version numbers never collide.
+      const std::uint64_t version = record.version.info.version;
+      Entry& entry = state.models[name];
+      entry.next_version = std::max(entry.next_version, version + 1);
+      state.quarantine[name][version] = {record.version, record.verification};
+      break;
+    }
+    case kRecordPromote:
+    case kRecordDiscard: {
+      const auto by_name = state.quarantine.find(name);
+      if (by_name == state.quarantine.end() ||
+          !by_name->second.contains(record.subject_version)) {
+        return quarantined_not_found(name, record.subject_version);
+      }
+      auto node = by_name->second.extract(record.subject_version);
+      if (by_name->second.empty()) state.quarantine.erase(by_name);
+      if (record.op == kRecordPromote) {
+        push_live(std::move(node.mapped().model));
+      }
+      break;
+    }
+    case kRecordRollback: {
+      const auto it = state.models.find(name);
+      if (it == state.models.end() || it->second.history.empty()) {
+        return model_not_found(name);
+      }
+      std::vector<VersionedModel>& history = it->second.history;
+      if (history.size() < 2) {
+        return api::Status::invalid_argument(
+            "model '" + name + "' has no previous version to roll back to");
+      }
+      const std::uint64_t previous = history[history.size() - 2].info.version;
+      if (previous != record.rollback_to) {
+        return api::Status::invalid_argument(
+            "rollback of '" + name + "' would restore v" +
+            std::to_string(previous) + ", not the recorded v" +
+            std::to_string(record.rollback_to) +
+            " (was the registry reopened with a different max_versions?)");
+      }
+      history.pop_back();
+      history.back().info.history_depth = history.size() - 1;
+      break;
+    }
+    case kRecordRemove:
+      if (state.models.erase(name) == 0) return model_not_found(name);
+      state.quarantine.erase(name);  // removal covers quarantined versions too
+      break;
+    default:
+      return api::Status::invalid_argument("unknown journal record op");
   }
-  ++seq_;
-  ++next.generation;
-  // The (possibly history-less) entry tracks next_version so quarantined
-  // and live version numbers never collide.
-  Entry& entry = next.models[name];
-  entry.next_version = std::max(entry.next_version, q.info.version + 1);
-  const std::uint64_t version = q.info.version;
-  next.quarantine[name][version] = std::move(q);
-  return version;
+  ++state.generation;
+  return api::Status::ok();
+}
+
+api::Status ModelRegistry::commit(JournalRecord record) {
+  auto next = std::make_shared<State>(*state());
+  record.seq = seq_ + 1;
+  if (auto status = apply(*next, record); !status.is_ok()) return status;
+  if (journal_) {
+    if (auto status = journal_->append(record); !status.is_ok()) {
+      return status;
+    }
+    ++journal_records_;
+  }
+  seq_ = record.seq;
+  const State& published = *next;
+  swap_state(std::move(next));
+  if (journal_) maybe_compact_locked(published);
+  return api::Status::ok();
 }
 
 PublishResult ModelRegistry::publish(const std::string& name,
@@ -143,22 +179,32 @@ PublishResult ModelRegistry::publish(const std::string& name,
   if (policy != nullptr) {
     result.verification = policy->verify(handle->model(), held_out);
     record_verification(result.verification);
+    result.quarantined = !result.verification.passed;
   }
+  JournalRecord record;
+  record.op = result.quarantined ? kRecordQuarantine : kRecordPublish;
+  record.name = name;
+  ModelInfo& info = record.version.info;
+  info.name = name;
+  info.order = handle->order();
+  info.num_inputs = handle->num_inputs();
+  info.num_outputs = handle->num_outputs();
+  info.algorithm = algorithm;
+  info.fit_seconds = fit_seconds;
+  record.version.handle = std::move(handle);
+  if (result.quarantined) record.verification = result.verification;
+
   std::lock_guard<std::mutex> lock(mutex_);
-  auto next =
-      std::make_shared<State>(*state_.load(std::memory_order_relaxed));
-  if (policy != nullptr && !result.verification.passed) {
-    result.quarantined = true;
-    result.version = quarantine_locked(*next, name, std::move(handle),
-                                       algorithm, fit_seconds,
-                                       result.verification);
-  } else {
-    result.version = publish_locked(*next, name, std::move(handle),
-                                    algorithm, fit_seconds);
+  const StatePtr current = state();
+  const auto found = current->models.find(name);
+  info.version =
+      found == current->models.end() ? 1 : found->second.next_version;
+  info.published_at = std::chrono::system_clock::now();
+  result.version = info.version;
+  if (const auto status = commit(std::move(record)); !status.is_ok()) {
+    throw std::runtime_error("ModelRegistry::publish: " +
+                             status.to_string());
   }
-  const State& published = *next;
-  state_.store(std::move(next), std::memory_order_release);
-  if (journal_) maybe_compact_locked(published);
   return result;
 }
 
@@ -169,30 +215,6 @@ PublishResult ModelRegistry::publish(const std::string& name,
                  report.algorithm, report.seconds, held_out);
 }
 
-bool ModelRegistry::apply_promote(State& state, const std::string& name,
-                                  std::uint64_t version) {
-  const auto by_name = state.quarantine.find(name);
-  if (by_name == state.quarantine.end()) return false;
-  const auto by_version = by_name->second.find(version);
-  if (by_version == by_name->second.end()) return false;
-  QVersion q = std::move(by_version->second);
-  by_name->second.erase(by_version);
-  if (by_name->second.empty()) state.quarantine.erase(by_name);
-  Entry& entry = state.models[name];
-  entry.next_version = std::max(entry.next_version, q.info.version + 1);
-  Version promoted;
-  promoted.handle = std::move(q.handle);
-  promoted.info = std::move(q.info);
-  entry.history.push_back(std::move(promoted));
-  if (entry.history.size() > opts_.max_versions) {
-    entry.history.erase(entry.history.begin(),
-                        entry.history.end() - opts_.max_versions);
-  }
-  entry.history.back().info.history_depth = entry.history.size() - 1;
-  ++state.generation;
-  return true;
-}
-
 api::Expected<ModelInfo> ModelRegistry::promote(const std::string& name,
                                                 std::uint64_t version,
                                                 bool force) {
@@ -201,19 +223,12 @@ api::Expected<ModelInfo> ModelRegistry::promote(const std::string& name,
     // Re-verify outside the writer lock against the quarantined handle.
     const StatePtr current = state();
     const auto by_name = current->quarantine.find(name);
-    if (by_name == current->quarantine.end()) {
-      return api::Status::not_found(
-          "no quarantined version " + std::to_string(version) + " of '" +
-          name + "'");
-    }
-    const auto by_version = by_name->second.find(version);
-    if (by_version == by_name->second.end()) {
-      return api::Status::not_found(
-          "no quarantined version " + std::to_string(version) + " of '" +
-          name + "'");
+    if (by_name == current->quarantine.end() ||
+        !by_name->second.contains(version)) {
+      return quarantined_not_found(name, version);
     }
     const VerificationReport report =
-        policy->verify(by_version->second.handle->model());
+        policy->verify(by_name->second.at(version).model.handle->model());
     record_verification(report);
     if (!report.passed) {
       return api::Status::numerical_error(
@@ -222,129 +237,47 @@ api::Expected<ModelInfo> ModelRegistry::promote(const std::string& name,
     }
   }
   std::lock_guard<std::mutex> lock(mutex_);
-  auto next =
-      std::make_shared<State>(*state_.load(std::memory_order_relaxed));
-  const auto by_name = next->quarantine.find(name);
-  if (by_name == next->quarantine.end() ||
-      by_name->second.find(version) == by_name->second.end()) {
-    return api::Status::not_found(
-        "no quarantined version " + std::to_string(version) + " of '" +
-        name + "'");
-  }
-  if (journal_) {
-    JournalRecord record;
-    record.op = kRecordPromote;
-    record.seq = seq_ + 1;
-    record.name = name;
-    record.subject_version = version;
-    if (const auto status = journal_locked(record); !status.is_ok()) {
-      return status;
-    }
-  }
-  ++seq_;
-  apply_promote(*next, name, version);
-  const State& published = *next;
-  state_.store(std::move(next), std::memory_order_release);
-  if (journal_) maybe_compact_locked(published);
-  const auto it = published.models.find(name);
-  return it->second.history.back().info;
+  const api::Status status =
+      commit({.op = kRecordPromote, .name = name, .subject_version = version});
+  if (!status.is_ok()) return status;
+  return state()->models.at(name).history.back().info;
 }
 
 api::Status ModelRegistry::discard(const std::string& name,
                                    std::uint64_t version) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto next =
-      std::make_shared<State>(*state_.load(std::memory_order_relaxed));
-  const auto by_name = next->quarantine.find(name);
-  if (by_name == next->quarantine.end() ||
-      by_name->second.find(version) == by_name->second.end()) {
-    return api::Status::not_found(
-        "no quarantined version " + std::to_string(version) + " of '" +
-        name + "'");
-  }
-  if (journal_) {
-    JournalRecord record;
-    record.op = kRecordDiscard;
-    record.seq = seq_ + 1;
-    record.name = name;
-    record.subject_version = version;
-    if (const auto status = journal_locked(record); !status.is_ok()) {
-      return status;
-    }
-  }
-  ++seq_;
-  by_name->second.erase(version);
-  if (by_name->second.empty()) next->quarantine.erase(by_name);
-  ++next->generation;
-  const State& published = *next;
-  state_.store(std::move(next), std::memory_order_release);
-  if (journal_) maybe_compact_locked(published);
-  return api::Status::ok();
+  return commit(
+      {.op = kRecordDiscard, .name = name, .subject_version = version});
 }
 
 api::Expected<std::uint64_t> ModelRegistry::rollback(
     const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto next =
-      std::make_shared<State>(*state_.load(std::memory_order_relaxed));
-  const auto it = next->models.find(name);
-  if (it == next->models.end() || it->second.history.empty()) {
-    return api::Status::not_found("no model named '" + name + "'");
+  JournalRecord record{.op = kRecordRollback, .name = name};
+  const StatePtr current = state();
+  if (const auto it = current->models.find(name);
+      it != current->models.end() && it->second.history.size() >= 2) {
+    const std::vector<VersionedModel>& history = it->second.history;
+    record.rollback_to = history[history.size() - 2].info.version;
   }
-  Entry& entry = it->second;
-  if (entry.history.size() < 2) {
-    return api::Status::invalid_argument(
-        "model '" + name + "' has no previous version to roll back to");
+  const std::uint64_t version = record.rollback_to;
+  if (auto status = commit(std::move(record)); !status.is_ok()) {
+    return status;
   }
-  if (journal_) {
-    JournalRecord record;
-    record.op = kRecordRollback;
-    record.seq = seq_ + 1;
-    record.name = name;
-    record.rollback_to =
-        entry.history[entry.history.size() - 2].info.version;
-    if (const auto status = journal_locked(record); !status.is_ok()) {
-      return status;
-    }
-  }
-  ++seq_;
-  entry.history.pop_back();
-  entry.history.back().info.history_depth = entry.history.size() - 1;
-  ++next->generation;
-  const std::uint64_t version = entry.history.back().info.version;
-  const State& published = *next;
-  state_.store(std::move(next), std::memory_order_release);
-  if (journal_) maybe_compact_locked(published);
   return version;
 }
 
 bool ModelRegistry::remove(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto next =
-      std::make_shared<State>(*state_.load(std::memory_order_relaxed));
-  const auto it = next->models.find(name);
-  if (it == next->models.end()) return false;
-  if (journal_) {
-    JournalRecord record;
-    record.op = kRecordRemove;
-    record.seq = seq_ + 1;
-    record.name = name;
-    if (const auto status = journal_locked(record); !status.is_ok()) {
-      throw std::runtime_error("ModelRegistry::remove: " +
-                               status.to_string());
-    }
+  if (!state()->models.contains(name)) return false;
+  if (const auto status = commit({.op = kRecordRemove, .name = name});
+      !status.is_ok()) {
+    throw std::runtime_error("ModelRegistry::remove: " + status.to_string());
   }
-  ++seq_;
-  next->models.erase(it);
-  next->quarantine.erase(name);  // removal covers quarantined versions too
-  ++next->generation;
-  const State& published = *next;
-  state_.store(std::move(next), std::memory_order_release);
-  if (journal_) maybe_compact_locked(published);
   return true;
 }
 
-// --- queries (lock-free: one acquire-load, then a private snapshot) ---------
+// --- queries (one state-pointer copy, then a private snapshot) -------------
 
 ModelSnapshot ModelRegistry::lookup(const std::string& name) const {
   const StatePtr current = state();
@@ -360,10 +293,9 @@ api::Expected<VersionedModel> ModelRegistry::acquire(
   const StatePtr current = state();
   const auto it = current->models.find(name);
   if (it == current->models.end() || it->second.history.empty()) {
-    return api::Status::not_found("no model named '" + name + "'");
+    return model_not_found(name);
   }
-  const Version& live = it->second.history.back();
-  return VersionedModel{live.handle, live.info};
+  return it->second.history.back();
 }
 
 api::Expected<ModelInfo> ModelRegistry::info(const std::string& name) const {
@@ -387,10 +319,7 @@ std::vector<VersionedModel> ModelRegistry::live_models() const {
   std::vector<VersionedModel> out;
   out.reserve(current->models.size());
   for (const auto& [name, entry] : current->models) {
-    if (!entry.history.empty()) {
-      out.push_back(
-          {entry.history.back().handle, entry.history.back().info});
-    }
+    if (!entry.history.empty()) out.push_back(entry.history.back());
   }
   return out;
 }
@@ -411,7 +340,7 @@ std::vector<QuarantinedModel> ModelRegistry::quarantined() const {
   std::vector<QuarantinedModel> out;
   for (const auto& [name, versions] : current->quarantine) {
     for (const auto& [version, q] : versions) {
-      out.push_back({q.info, q.report});
+      out.push_back({q.model.info, q.report});
     }
   }
   return out;
@@ -424,13 +353,11 @@ api::Expected<QuarantinedModel> ModelRegistry::quarantined(
   if (by_name != current->quarantine.end()) {
     const auto by_version = by_name->second.find(version);
     if (by_version != by_name->second.end()) {
-      return QuarantinedModel{by_version->second.info,
+      return QuarantinedModel{by_version->second.model.info,
                               by_version->second.report};
     }
   }
-  return api::Status::not_found("no quarantined version " +
-                                std::to_string(version) + " of '" + name +
-                                "'");
+  return quarantined_not_found(name, version);
 }
 
 void ModelRegistry::record_verification(const VerificationReport& report) {
@@ -475,137 +402,22 @@ std::vector<ModelRegistry::EntryState> ModelRegistry::export_state() const {
   std::vector<EntryState> out;
   out.reserve(current->models.size());
   for (const auto& [name, entry] : current->models) {
-    EntryState exported;
-    exported.name = name;
-    exported.next_version = entry.next_version;
-    exported.versions.reserve(entry.history.size());
-    for (const Version& version : entry.history) {
-      exported.versions.push_back({version.handle, version.info});
-    }
-    out.push_back(std::move(exported));
+    out.push_back({name, entry.next_version, entry.history});
   }
   return out;
 }
 
 // --- persistence ------------------------------------------------------------
 
-void ModelRegistry::restore_publish(State& state,
-                                    PersistedVersion&& persisted) {
-  ++state.generation;
-  Entry& entry = state.models[persisted.info.name];
-  Version version;
-  version.info = persisted.info;
-  version.handle =
-      std::make_shared<const api::ModelHandle>(std::move(persisted.model));
-  entry.next_version =
-      std::max(entry.next_version, version.info.version + 1);
-  entry.history.push_back(std::move(version));
-  if (entry.history.size() > opts_.max_versions) {
-    entry.history.erase(entry.history.begin(),
-                        entry.history.end() - opts_.max_versions);
-  }
-  entry.history.back().info.history_depth = entry.history.size() - 1;
-}
-
-void ModelRegistry::restore_quarantine(State& state,
-                                       PersistedVersion&& persisted,
-                                       VerificationReport&& report) {
-  ++state.generation;
-  QVersion q;
-  q.info = persisted.info;
-  q.handle =
-      std::make_shared<const api::ModelHandle>(std::move(persisted.model));
-  q.report = std::move(report);
-  Entry& entry = state.models[q.info.name];
-  entry.next_version = std::max(entry.next_version, q.info.version + 1);
-  const std::string name = q.info.name;
-  const std::uint64_t version = q.info.version;
-  state.quarantine[name][version] = std::move(q);
-}
-
 api::Status ModelRegistry::replay_journal(State& state,
                                           const std::string& journal_path) {
   auto replay = RegistryJournal::replay(journal_path);
   if (!replay) return replay.status();
-  for (JournalRecord& record : replay->records) {
+  for (const JournalRecord& record : replay->records) {
     if (record.seq <= seq_) continue;  // captured by the snapshot already
-    switch (record.op) {
-      case kRecordPublish:
-        try {
-          restore_publish(state, std::move(*record.version));
-        } catch (const std::exception& e) {
-          return api::Status::internal("journal replay: publish of '" +
-                                       record.name + "': " + e.what());
-        }
-        break;
-      case kRecordRollback: {
-        const auto it = state.models.find(record.name);
-        if (it == state.models.end() || it->second.history.size() < 2) {
-          return api::Status::internal(
-              "journal replay: rollback of '" + record.name +
-              "' does not match the registry state (journal/snapshot "
-              "divergence)");
-        }
-        Entry& entry = it->second;
-        entry.history.pop_back();
-        entry.history.back().info.history_depth =
-            entry.history.size() - 1;
-        if (entry.history.back().info.version != record.rollback_to) {
-          return api::Status::internal(
-              "journal replay: rollback of '" + record.name +
-              "' restored v" +
-              std::to_string(entry.history.back().info.version) +
-              " where the journal recorded v" +
-              std::to_string(record.rollback_to) +
-              " (was the registry reopened with a different "
-              "max_versions?)");
-        }
-        ++state.generation;
-        break;
-      }
-      case kRecordRemove:
-        if (state.models.erase(record.name) == 0) {
-          return api::Status::internal(
-              "journal replay: remove of unknown model '" + record.name +
-              "' (journal/snapshot divergence)");
-        }
-        state.quarantine.erase(record.name);
-        ++state.generation;
-        break;
-      case kRecordQuarantine:
-        try {
-          restore_quarantine(state, std::move(*record.version),
-                             std::move(record.verification));
-        } catch (const std::exception& e) {
-          return api::Status::internal("journal replay: quarantine of '" +
-                                       record.name + "': " + e.what());
-        }
-        break;
-      case kRecordPromote:
-        if (!apply_promote(state, record.name, record.subject_version)) {
-          return api::Status::internal(
-              "journal replay: promote of unknown quarantined '" +
-              record.name + "' v" +
-              std::to_string(record.subject_version) +
-              " (journal/snapshot divergence)");
-        }
-        break;
-      case kRecordDiscard: {
-        const auto by_name = state.quarantine.find(record.name);
-        if (by_name == state.quarantine.end() ||
-            by_name->second.erase(record.subject_version) == 0) {
-          return api::Status::internal(
-              "journal replay: discard of unknown quarantined '" +
-              record.name + "' v" +
-              std::to_string(record.subject_version) +
-              " (journal/snapshot divergence)");
-        }
-        if (by_name->second.empty()) state.quarantine.erase(by_name);
-        ++state.generation;
-        break;
-      }
-      default:
-        return api::Status::internal("journal replay: unknown record op");
+    if (auto status = apply(state, record); !status.is_ok()) {
+      return api::Status::internal("journal replay: " + status.message() +
+                                   " (journal/snapshot divergence)");
     }
     seq_ = record.seq;
     ++journal_records_;
@@ -622,10 +434,8 @@ std::string ModelRegistry::serialize_state_locked(const State& state) const {
     payload.str(name);
     payload.u64(entry.next_version);
     payload.u64(entry.history.size());
-    for (const Version& version : entry.history) {
-      write_persisted_version(
-          payload,
-          PersistedVersion{version.info, version.handle->model()});
+    for (const VersionedModel& version : entry.history) {
+      write_persisted_version(payload, version);
     }
   }
   // Quarantine block (appended so snapshots from before the verification
@@ -635,8 +445,7 @@ std::string ModelRegistry::serialize_state_locked(const State& state) const {
     payload.str(name);
     payload.u64(versions.size());
     for (const auto& [version, q] : versions) {
-      write_persisted_version(
-          payload, PersistedVersion{q.info, q.handle->model()});
+      write_persisted_version(payload, q.model);
       write_verification_report(payload, q.report);
     }
   }
@@ -665,15 +474,7 @@ api::Status ModelRegistry::compact_locked(const State& state) {
 api::Status ModelRegistry::compact() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!journal_) return api::Status::ok();
-  return compact_locked(*state_.load(std::memory_order_relaxed));
-}
-
-api::Status ModelRegistry::journal_locked(const JournalRecord& record) {
-  if (auto status = journal_->append(record); !status.is_ok()) {
-    return status;
-  }
-  ++journal_records_;
-  return api::Status::ok();
+  return compact_locked(*state());
 }
 
 void ModelRegistry::maybe_compact_locked(const State& state) {
@@ -711,9 +512,9 @@ api::Expected<std::unique_ptr<ModelRegistry>> ModelRegistry::open(
   const std::string snapshot_path = dir + "/" + kSnapshotFile;
   const std::string journal_path = dir + "/" + kJournalFile;
 
-  // Rebuild the pre-restart state into one mutable `State`, then publish
-  // it with a single store — `open` has no concurrent readers, but the
-  // invariant "the atomic always holds a complete state" is kept anyway.
+  // Rebuild the pre-restart state into one mutable `State`, then swap it
+  // in whole — `open` has no concurrent readers, but the invariant "the
+  // current state is always complete" is kept anyway.
   auto restored = std::make_shared<State>();
 
   if (fs::exists(snapshot_path, ec)) {
@@ -766,31 +567,30 @@ api::Expected<std::unique_ptr<ModelRegistry>> ModelRegistry::open(
         entry.next_version = in.u64();
         const std::uint64_t num_versions = in.u64();
         for (std::uint64_t v = 0; v < num_versions; ++v) {
-          PersistedVersion persisted = read_persisted_version(in);
-          Version loaded;
-          loaded.info = persisted.info;
-          loaded.handle = std::make_shared<const api::ModelHandle>(
-              std::move(persisted.model));
-          entry.history.push_back(std::move(loaded));
+          entry.history.push_back(read_persisted_version(in));
         }
         restored->models[name] = std::move(entry);
       }
       if (in.remaining() > 0) {
         // Quarantine block — absent from pre-verification-gate snapshots.
+        // Each version loads as the JQUA record that put it there.
         const std::uint64_t num_quarantined_names = in.u64();
         for (std::uint64_t q = 0; q < num_quarantined_names; ++q) {
-          const std::string name = in.str();
+          JournalRecord record{.op = kRecordQuarantine, .name = in.str()};
           const std::uint64_t num_versions = in.u64();
           for (std::uint64_t v = 0; v < num_versions; ++v) {
-            PersistedVersion persisted = read_persisted_version(in);
-            VerificationReport report = read_verification_report(in);
-            if (persisted.info.name != name) {
+            record.version = read_persisted_version(in);
+            record.verification = read_verification_report(in);
+            if (record.version.info.name != record.name) {
               return api::Status::internal(
                   "'" + snapshot_path + "': quarantine block names '" +
-                  persisted.info.name + "' under key '" + name + "'");
+                  record.version.info.name + "' under key '" + record.name +
+                  "'");
             }
-            registry->restore_quarantine(*restored, std::move(persisted),
-                                         std::move(report));
+            if (auto status = registry->apply(*restored, record);
+                !status.is_ok()) {
+              return status;
+            }
           }
         }
       }
@@ -804,7 +604,7 @@ api::Expected<std::unique_ptr<ModelRegistry>> ModelRegistry::open(
       !status.is_ok()) {
     return status;
   }
-  registry->state_.store(std::move(restored), std::memory_order_release);
+  registry->swap_state(std::move(restored));
 
   auto journal = RegistryJournal::open(journal_path);
   if (!journal) return journal.status();

@@ -4,15 +4,17 @@
 /// Each model name holds a short history of immutable snapshots
 /// (`shared_ptr<const api::ModelHandle>`). The whole registry state —
 /// every name, its history and metadata — lives in one immutable `State`
-/// object behind an atomic `shared_ptr`: readers (`lookup`, `acquire`,
-/// `list`, `live_models`, ...) perform a single acquire-load and read
-/// their private snapshot with **no lock**, so the query path never
-/// contends with writers or with other readers. Writers (`publish`,
-/// `rollback`, `remove`) serialize on a mutex, copy the current state,
-/// append the mutation to the write-ahead journal (durable registries),
-/// apply it to the copy and swap the copy in with one release-store —
-/// RCU-style copy-and-swap. A failed journal append discards the copy,
-/// leaving the registry observably unchanged.
+/// object: readers (`lookup`, `acquire`, `list`, `live_models`, ...) copy
+/// the state pointer under a mutex that is held for nothing else, then
+/// read their private snapshot, so the query path never waits on a
+/// writer. Every mutation (`publish`, `rollback`, `remove`, `promote`,
+/// `discard`) is one `JournalRecord`: the writer applies it to a copy of
+/// the current state, appends it to the write-ahead journal (durable
+/// registries) and swaps the copy in — RCU-style copy-and-swap. A record
+/// that does not apply, or whose journal append fails, is dropped with
+/// the copy, leaving the registry observably unchanged. Journal replay
+/// applies the same records with the same function, so a reopened
+/// registry rebuilds exactly the state its writers built.
 ///
 /// Verified publishing: when `ModelRegistryOptions::verification` holds a
 /// `VerificationPolicy`, every publish runs the policy *before* anything
@@ -27,7 +29,7 @@
 /// ```cpp
 /// serving::ModelRegistry registry;
 /// registry.publish("pdn", *report);              // version 1
-/// auto model = registry.acquire("pdn");          // lock-free snapshot
+/// auto model = registry.acquire("pdn");          // private snapshot
 /// registry.publish("pdn", *better_report);       // version 2, v1 history
 /// registry.rollback("pdn");                      // v1 live again
 /// ```
@@ -38,7 +40,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -158,7 +159,6 @@ struct RegistryVerifyStats {
 };
 
 class RegistryJournal;
-struct PersistedVersion;
 struct JournalRecord;
 
 class ModelRegistry {
@@ -200,16 +200,16 @@ class ModelRegistry {
   PublishResult publish(const std::string& name, const api::FitReport& report,
                         const sampling::SampleSet* held_out = nullptr);
 
-  /// The live snapshot of `name`, or nullptr when unknown. Lock-free;
-  /// holding the returned pointer keeps that version alive across
-  /// republishes.
+  /// The live snapshot of `name`, or nullptr when unknown. Never waits
+  /// on a writer; holding the returned pointer keeps that version alive
+  /// across republishes.
   ModelSnapshot lookup(const std::string& name) const;
 
-  /// Live snapshot plus its metadata, from one atomic state load —
-  /// lock-free, and never a mix of two versions.
+  /// Live snapshot plus its metadata, from one state snapshot — never a
+  /// mix of two versions.
   api::Expected<VersionedModel> acquire(const std::string& name) const;
 
-  /// Metadata of the live version. Lock-free.
+  /// Metadata of the live version.
   api::Expected<ModelInfo> info(const std::string& name) const;
 
   /// Drop the live version and restore the previous one; returns the
@@ -222,10 +222,10 @@ class ModelRegistry {
   /// write-ahead append fails (the model stays registered).
   bool remove(const std::string& name);
 
-  /// Every quarantined version, sorted by (name, version). Lock-free.
+  /// Every quarantined version, sorted by (name, version).
   std::vector<QuarantinedModel> quarantined() const;
 
-  /// One quarantined version (not-found when absent). Lock-free.
+  /// One quarantined version (not-found when absent).
   api::Expected<QuarantinedModel> quarantined(const std::string& name,
                                               std::uint64_t version) const;
 
@@ -244,17 +244,17 @@ class ModelRegistry {
   /// Verification-gate counters plus the current quarantine size.
   RegistryVerifyStats verify_stats() const;
 
-  /// Live-version metadata for every model, sorted by name. Lock-free.
+  /// Live-version metadata for every model, sorted by name.
   std::vector<ModelInfo> list() const;
 
-  /// Live snapshots for every model, sorted by name. Lock-free.
+  /// Live snapshots for every model, sorted by name.
   std::vector<VersionedModel> live_models() const;
 
   std::size_t size() const;
 
   /// Monotonic counter bumped by every mutation (publish, rollback,
   /// remove). Lets observers skip re-scanning an unchanged live set.
-  /// Starts at 1 and is process-local (not persisted). Lock-free.
+  /// Starts at 1 and is process-local (not persisted).
   std::uint64_t generation() const;
 
   /// True when this registry journals its mutations (built by `open`).
@@ -280,27 +280,22 @@ class ModelRegistry {
   std::vector<EntryState> export_state() const;
 
  private:
-  struct Version {
-    ModelSnapshot handle;
-    ModelInfo info;
-  };
   struct Entry {
-    std::vector<Version> history;  ///< oldest first; live version at back
+    std::vector<VersionedModel> history;  ///< oldest first; live at back
     std::uint64_t next_version = 1;
   };
   /// One quarantined version: handle kept so `promote` needs no refit.
   struct QVersion {
-    ModelSnapshot handle;
-    ModelInfo info;
+    VersionedModel model;
     VerificationReport report;
   };
-  /// The whole registry, immutable once published. Readers load the
-  /// current `State` with one atomic acquire and never see a partial
-  /// mutation; writers clone it (a shallow copy — the handles are shared)
-  /// under `mutex_`, mutate the clone and release-store it back.
-  /// `quarantine` is never read by the query path (`lookup` / `acquire` /
-  /// `list` / `live_models` consult `models` only), so a refused model is
-  /// unobservable to clients at every point.
+  /// The whole registry, immutable once published. Readers copy the
+  /// current `StatePtr` and never see a partial mutation; writers clone
+  /// it (a shallow copy — the handles are shared) under `mutex_`, apply
+  /// one record to the clone and swap it in. `quarantine` is never read by
+  /// the query path (`lookup` / `acquire` / `list` / `live_models` consult
+  /// `models` only), so a refused model is unobservable to clients at
+  /// every point.
   struct State {
     std::map<std::string, Entry> models;
     /// name -> version -> quarantined model. A name may appear here with
@@ -311,47 +306,41 @@ class ModelRegistry {
   };
   using StatePtr = std::shared_ptr<const State>;
 
-  /// The readers' entry point: one acquire-load, no lock.
-  StatePtr state() const { return state_.load(std::memory_order_acquire); }
+  /// The readers' entry point: a copy of the current state pointer.
+  StatePtr state() const;
+  /// Make `next` the current state; the replaced one is released after
+  /// `state_mutex_` is dropped.
+  void swap_state(StatePtr next);
 
-  /// Append the publish to `next` (journaling it write-ahead first when
-  /// durable). Caller holds `mutex_` and publishes `next` afterwards.
-  std::uint64_t publish_locked(State& next, const std::string& name,
-                               ModelSnapshot handle,
-                               std::optional<api::Algorithm> algorithm,
-                               double fit_seconds);
+  /// What `record` does to `state` — the one definition of every
+  /// mutation, used by the writers (through `commit`) and by journal
+  /// replay. It owns all bookkeeping: the history push and trim to
+  /// `max_versions`, `history_depth`, the `next_version` watermark,
+  /// quarantine insert and extract, and one `generation` bump. A record
+  /// that does not fit `state` (unknown name or version, no previous
+  /// version, a `rollback_to` that is not the previous version) returns
+  /// NotFound or InvalidArgument and changes nothing.
+  api::Status apply(State& state, const JournalRecord& record) const;
 
-  /// The quarantine counterpart of `publish_locked`: allocates the next
-  /// version number but lands the model in `next.quarantine`, journaling
-  /// a `JQUA` record write-ahead. Caller holds `mutex_`.
-  std::uint64_t quarantine_locked(State& next, const std::string& name,
-                                  ModelSnapshot handle,
-                                  std::optional<api::Algorithm> algorithm,
-                                  double fit_seconds,
-                                  const VerificationReport& report);
-
-  /// Move a quarantined version into the live history (shared by
-  /// `promote` and journal replay). False when the entry is missing.
-  bool apply_promote(State& state, const std::string& name,
-                     std::uint64_t version);
+  /// The one write path: apply `record` to a clone of the current state,
+  /// append it write-ahead (durable registries), swap the clone in, then
+  /// consider compaction. A record that does not apply never reaches the
+  /// journal; a refused append discards the clone, so no version number
+  /// is used up. Caller holds `mutex_`.
+  api::Status commit(JournalRecord record);
 
   /// Fold one verification outcome into the pass/fail and per-check
   /// latency counters.
   void record_verification(const VerificationReport& report);
 
-  /// Journal-replay / snapshot-restore applies (no journaling, exact
-  /// metadata) into the state being rebuilt by `open`.
-  void restore_publish(State& state, PersistedVersion&& version);
-  void restore_quarantine(State& state, PersistedVersion&& version,
-                          VerificationReport&& report);
+  /// Apply every journal record past `seq_` to the state being rebuilt
+  /// by `open`.
   api::Status replay_journal(State& state, const std::string& journal_path);
 
   /// Serialize the given state as one `REGY` payload / write it as the
   /// snapshot file + reset the journal. Caller holds `mutex_`.
   std::string serialize_state_locked(const State& state) const;
   api::Status compact_locked(const State& state);
-  /// Append one record write-ahead. Caller holds `mutex_`.
-  api::Status journal_locked(const JournalRecord& record);
   /// Auto-compact when over threshold; called after the state swap (never
   /// between append and swap). Caller holds `mutex_`.
   void maybe_compact_locked(const State& state);
@@ -365,8 +354,12 @@ class ModelRegistry {
   std::uint64_t verify_pass_ = 0;
   std::uint64_t verify_fail_ = 0;
   std::map<std::string, RegistryVerifyStats::Check> check_stats_;
+  /// Guards `state_` and nothing else: taken only to copy or swap the
+  /// pointer — never across verification, a journal append or a state's
+  /// destruction — so a reader waits at most for another pointer copy.
+  mutable std::mutex state_mutex_;
   /// Current immutable state; never null after construction.
-  std::atomic<StatePtr> state_;
+  StatePtr state_;
 
   // --- durable state (set by `open`, touched only under `mutex_`) ---
   /// Mutations applied over the registry's whole durable life; persisted

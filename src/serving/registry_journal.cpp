@@ -58,17 +58,18 @@ ModelInfo read_model_info(io::ByteReader& in) {
 }
 
 void write_persisted_version(io::ByteWriter& out,
-                             const PersistedVersion& version) {
+                             const VersionedModel& version) {
   write_model_info(out, version.info);
   out.u64(io::kReservedModelWord);
-  io::write_system(out, version.model);
+  io::write_system(out, version.handle->model());
 }
 
-PersistedVersion read_persisted_version(io::ByteReader& in) {
-  PersistedVersion version;
+VersionedModel read_persisted_version(io::ByteReader& in) {
+  VersionedModel version;
   version.info = read_model_info(in);
   in.u64();  // io::kReservedModelWord
-  version.model = io::read_system(in);
+  version.handle =
+      std::make_shared<const api::ModelHandle>(io::read_system(in));
   return version;
 }
 
@@ -124,7 +125,7 @@ std::string encode_record(const JournalRecord& record) {
   payload.u64(record.seq);
   switch (record.op) {
     case kRecordPublish:
-      write_persisted_version(payload, *record.version);
+      write_persisted_version(payload, record.version);
       break;
     case kRecordRollback:
       payload.str(record.name);
@@ -134,7 +135,7 @@ std::string encode_record(const JournalRecord& record) {
       payload.str(record.name);
       break;
     case kRecordQuarantine:
-      write_persisted_version(payload, *record.version);
+      write_persisted_version(payload, record.version);
       write_verification_report(payload, record.verification);
       break;
     case kRecordPromote:
@@ -158,7 +159,7 @@ JournalRecord decode_record(const io::SectionView& section) {
   switch (section.tag) {
     case kRecordPublish:
       record.version = read_persisted_version(in);
-      record.name = record.version->info.name;
+      record.name = record.version.info.name;
       break;
     case kRecordRollback:
       record.name = in.str();
@@ -169,7 +170,7 @@ JournalRecord decode_record(const io::SectionView& section) {
       break;
     case kRecordQuarantine:
       record.version = read_persisted_version(in);
-      record.name = record.version->info.name;
+      record.name = record.version.info.name;
       record.verification = read_verification_report(in);
       break;
     case kRecordPromote:

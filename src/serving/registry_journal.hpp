@@ -1,8 +1,9 @@
 /// \file registry_journal.hpp
 /// \brief Write-ahead journal for `ModelRegistry`: every mutation
-/// (publish / rollback / remove) is appended as a checksummed record and
-/// flushed *before* the in-memory swap, so a process restart replays the
-/// fleet back to its exact pre-crash state.
+/// (publish / rollback / remove and the quarantine ones) is one
+/// `JournalRecord`, appended as a checksummed record and flushed *before*
+/// the in-memory swap, so a process restart replays the fleet back to its
+/// exact pre-crash state.
 ///
 /// On-disk layout (docs/persistence-format.md is normative): the shared
 /// 12-byte header (`MFTIJRNL` + format version) followed by one section
@@ -16,17 +17,17 @@
 /// record is real corruption and is reported as an error instead.
 ///
 /// The journal stores everything needed to rebuild a registry entry
-/// byte-identically: the full model matrices, the serving options, and the
+/// byte-identically: the full model matrices, a reserved word, and the
 /// publish-time metadata (`ModelInfo`, including the original publish
-/// timestamp). `ModelRegistry::open` owns the replay-then-attach protocol
-/// (model_registry.hpp); this class only frames, appends, and scans.
+/// timestamp). `ModelRegistry` owns what a record does to its state — one
+/// `apply` shared by the writers and by replay (model_registry.hpp); this
+/// class only frames, appends, and scans.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,7 +35,6 @@
 #include "io/snapshot.hpp"
 #include "serving/model_registry.hpp"
 #include "serving/verification.hpp"
-#include "statespace/descriptor.hpp"
 
 namespace mfti::io {
 class FaultInjector;
@@ -64,14 +64,7 @@ inline constexpr std::uint32_t kRecordDiscard =
 inline constexpr std::uint32_t kSectionRegistry =
     io::fourcc('R', 'E', 'G', 'Y');
 
-/// One persisted model version: everything `ModelRegistry` needs to
-/// recreate the `ModelHandle` and its metadata exactly.
-struct PersistedVersion {
-  ModelInfo info;
-  ss::DescriptorSystem model;
-};
-
-/// One replayed mutation.
+/// One registry mutation: what a writer commits and what replay reads back.
 struct JournalRecord {
   std::uint32_t op = 0;  ///< one of the kRecord* tags above
   /// Registry mutation sequence number (monotonic across the registry's
@@ -81,15 +74,15 @@ struct JournalRecord {
   /// surviving a crash between the two steps are simply skipped.
   std::uint64_t seq = 0;
   std::string name;
-  /// Filled for publish and quarantine records only.
-  std::optional<PersistedVersion> version;
+  /// Publish and quarantine records: the version's handle and metadata.
+  VersionedModel version{};
   /// Rollback records carry the version expected live after the pop, so
   /// replay can detect writer/reader divergence (e.g. a different
   /// `max_versions`).
   std::uint64_t rollback_to = 0;
   /// Quarantine records carry the failed verification, persisted so an
   /// operator can inspect *why* after a restart.
-  VerificationReport verification;
+  VerificationReport verification{};
   /// Promote / discard records: the quarantined version acted on.
   std::uint64_t subject_version = 0;
 };
@@ -97,9 +90,11 @@ struct JournalRecord {
 /// Payload encodings shared by the journal and the registry snapshot.
 void write_model_info(io::ByteWriter& out, const ModelInfo& info);
 ModelInfo read_model_info(io::ByteReader& in);
+/// A persisted version is its `ModelInfo`, the reserved word and
+/// `handle->model()`; reading wraps the decoded matrices in a new handle.
 void write_persisted_version(io::ByteWriter& out,
-                             const PersistedVersion& version);
-PersistedVersion read_persisted_version(io::ByteReader& in);
+                             const VersionedModel& version);
+VersionedModel read_persisted_version(io::ByteReader& in);
 void write_verification_report(io::ByteWriter& out,
                                const VerificationReport& report);
 VerificationReport read_verification_report(io::ByteReader& in);
@@ -125,8 +120,8 @@ class RegistryJournal {
   static api::Expected<RegistryJournal> open(const std::string& path);
 
   /// Serialize `record` and append + flush it. Returns only after the
-  /// bytes reached the OS — the caller may then apply the mutation
-  /// in memory (write-ahead contract).
+  /// bytes reached the OS (flushed, not fsynced) — the caller may then
+  /// make the mutation visible in memory (write-ahead contract).
   api::Status append(const JournalRecord& record);
 
   /// Truncate back to a bare header (after a successful compaction).

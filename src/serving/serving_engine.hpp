@@ -7,7 +7,8 @@
 /// *or* real `freqs_hz` (the HTTP wire format; the engine converts with
 /// `api::points_from_freqs_hz`, the single source of `s = j 2 pi f`).
 /// The engine resolves the model's live snapshot once per request (so a
-/// response can never mix versions — a lock-free registry read),
+/// response can never mix versions — a registry read that never waits on
+/// a writer),
 /// deduplicates identical points within the batch, fans the distinct
 /// evaluations out over its own `parallel::ThreadPool` — shared across
 /// every model it serves — and scatters the results back in request order.

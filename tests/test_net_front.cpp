@@ -236,6 +236,11 @@ TEST(ServingFront, PerRequestErrorIsolation) {
   auto bad = client.request("POST", "/v1/eval", "{nope");
   ASSERT_TRUE(bad.has_value());
   EXPECT_EQ(bad->status, 400);
+  // So is a number that overflows to infinity.
+  auto infinite = client.request("POST", "/v1/eval",
+                                 R"({"model":"ok","freqs_hz":[1e999]})");
+  ASSERT_TRUE(infinite.has_value());
+  EXPECT_EQ(infinite->status, 400);
 
   // Unknown endpoints 404; wrong method 405.
   auto nowhere = client.request("GET", "/v2/teapot");

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -213,6 +214,16 @@ TEST(Json, DoublesRoundTripBitExactly) {
   }
 }
 
+TEST(Json, UnderflowAndSubnormalsStillParse) {
+  auto parsed = net::parse_json("[1e-400,4.9406564584124654e-324,-0,1E+2]");
+  ASSERT_TRUE(parsed) << parsed.status().to_string();
+  EXPECT_EQ(parsed->at(0).as_number(), 0.0);
+  EXPECT_EQ(parsed->at(1).as_number(),
+            std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(parsed->at(2).as_number(), 0.0);
+  EXPECT_EQ(parsed->at(3).as_number(), 100.0);
+}
+
 TEST(Json, UnicodeEscapes) {
   auto parsed = net::parse_json(R"(["Aé😀"])");
   ASSERT_TRUE(parsed) << parsed.status().to_string();
@@ -232,6 +243,11 @@ TEST(Json, RejectsTrailingGarbage) {
   EXPECT_FALSE(net::parse_json("{} {}"));
   EXPECT_FALSE(net::parse_json("[1,]"));
   EXPECT_FALSE(net::parse_json(""));
+  // Numbers follow RFC 8259 and must be finite.
+  for (const char* text :
+       {"[1e999]", "[-1e999]", "[+1]", "[.5]", "[1.]", "[01]"}) {
+    EXPECT_FALSE(net::parse_json(text)) << text;
+  }
 }
 
 // --- rate limiter -----------------------------------------------------------

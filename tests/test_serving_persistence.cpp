@@ -261,7 +261,8 @@ TEST(ModelSnapshot, ReservedWordIsIgnoredOnRead) {
 
   // Registry versions carry the same word between model info and model.
   io::ByteWriter out;
-  serving::write_persisted_version(out, {serving::ModelInfo{}, sys});
+  serving::write_persisted_version(
+      out, {std::make_shared<const api::ModelHandle>(sys), {}});
   io::ByteReader in(out.bytes());
   serving::read_model_info(in);
   EXPECT_EQ(in.u64(), io::kReservedModelWord);

@@ -4,7 +4,8 @@
 // query path and the previous live version keeps serving untouched — the
 // operator surface (promote with re-verification, force, discard),
 // durability of the quarantine store across warm restart and crash-safe
-// compaction (including under injected journal faults), the AsyncFitter
+// compaction (including under injected journal faults), replay of random
+// mixed histories against what the writers built, the AsyncFitter
 // auto-publish outcome, the gate's telemetry counters, and the
 // MFTI_VERIFY* environment knobs.
 
@@ -18,6 +19,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -118,6 +120,48 @@ const serving::VerificationCheck* find_check(
     if (check.name == name) return &check;
   }
   return nullptr;
+}
+
+void expect_same_info(const serving::ModelInfo& a,
+                      const serving::ModelInfo& b) {
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.version, b.version);
+  EXPECT_EQ(a.order, b.order);
+  EXPECT_EQ(a.num_inputs, b.num_inputs);
+  EXPECT_EQ(a.num_outputs, b.num_outputs);
+  EXPECT_EQ(a.algorithm, b.algorithm);
+  EXPECT_EQ(a.fit_seconds, b.fit_seconds);
+  EXPECT_EQ(a.published_at, b.published_at);
+  EXPECT_EQ(a.history_depth, b.history_depth);
+}
+
+/// Live histories, the quarantine store and its size all match.
+void expect_same_fleet(const serving::ModelRegistry& a,
+                       const serving::ModelRegistry& b) {
+  const auto entries_a = a.export_state();
+  const auto entries_b = b.export_state();
+  ASSERT_EQ(entries_a.size(), entries_b.size());
+  for (std::size_t e = 0; e < entries_a.size(); ++e) {
+    SCOPED_TRACE("entry " + entries_a[e].name);
+    EXPECT_EQ(entries_a[e].name, entries_b[e].name);
+    EXPECT_EQ(entries_a[e].next_version, entries_b[e].next_version);
+    ASSERT_EQ(entries_a[e].versions.size(), entries_b[e].versions.size());
+    for (std::size_t v = 0; v < entries_a[e].versions.size(); ++v) {
+      expect_same_info(entries_a[e].versions[v].info,
+                       entries_b[e].versions[v].info);
+      EXPECT_TRUE(entries_a[e].versions[v].handle->model() ==
+                  entries_b[e].versions[v].handle->model());
+    }
+  }
+  const auto quarantined_a = a.quarantined();
+  const auto quarantined_b = b.quarantined();
+  ASSERT_EQ(quarantined_a.size(), quarantined_b.size());
+  for (std::size_t q = 0; q < quarantined_a.size(); ++q) {
+    expect_same_info(quarantined_a[q].info, quarantined_b[q].info);
+    EXPECT_EQ(quarantined_a[q].report.summary(),
+              quarantined_b[q].report.summary());
+  }
+  EXPECT_EQ(a.verify_stats().quarantined, b.verify_stats().quarantined);
 }
 
 }  // namespace
@@ -514,6 +558,170 @@ TEST(QuarantineDurability, RefusedQuarantineAppendLeavesRegistryAndDiskAlone) {
   ASSERT_EQ((*registry)->quarantined().size(), 1u);
   EXPECT_NE((*registry)->lookup("m"), nullptr);
   EXPECT_EQ((*registry)->info("m")->version, 1u);
+}
+
+// Replay must rebuild exactly what the writers built, for any history:
+// random mixes of passing and refused publishes, forced and re-verified
+// promotes, discards, rollbacks and removals over three names, including
+// operations that must be refused. Checked with the whole history in the
+// journal, with a compaction halfway through, and with a compaction after
+// every record.
+TEST(QuarantineDurability, ReplayRebuildsWhatTheWritersBuiltForAnyHistory) {
+  serving::VerificationOptions policy = fixture_policy();
+  policy.max_fit_error = 1e-3;
+  serving::ModelRegistryOptions opts = gated(policy);
+  opts.max_versions = 3;
+  // Held-out samples of another system: a publish checked against them is
+  // quarantined by the fit-error check alone, so its re-verified promote
+  // (which has no samples) passes.
+  const sp::SampleSet mismatched =
+      sp::sample_system(gain_lowpass(0.4), sp::log_grid(1.0, 1e6, 20));
+  const std::vector<std::string> names = {"a", "b", "c"};
+
+  enum class Variant { JournalOnly, CompactHalfway, CompactEveryRecord };
+  for (const Variant variant : {Variant::JournalOnly, Variant::CompactHalfway,
+                                Variant::CompactEveryRecord}) {
+    for (std::uint32_t seed = 1; seed <= 5; ++seed) {
+      SCOPED_TRACE("variant " + std::to_string(static_cast<int>(variant)) +
+                   " seed " + std::to_string(seed));
+      TempDir dir("any_history");
+      const fs::path writer_dir = dir.path() / "writer";
+      const fs::path journal_path = writer_dir / "registry.journal";
+      serving::RegistryPersistenceOptions persist = no_compaction();
+      if (variant == Variant::CompactEveryRecord) {
+        persist.compact_min_records = 1;
+      }
+      auto opened =
+          serving::ModelRegistry::open(writer_dir.string(), opts, persist);
+      ASSERT_TRUE(opened) << opened.status().to_string();
+      serving::ModelRegistry& registry = **opened;
+
+      std::mt19937 rng(seed);
+      const auto pick = [&](std::uint32_t n) {
+        return std::uniform_int_distribution<std::uint32_t>(0, n - 1)(rng);
+      };
+      // Publish a 1-port of random gain in [lo, hi]; true when quarantined.
+      const auto publish = [&](const std::string& name, double lo, double hi,
+                               const sp::SampleSet* held_out) {
+        const double g = std::uniform_real_distribution<double>(lo, hi)(rng);
+        return registry
+            .publish(name, snapshot_of(gain_lowpass(g)), {}, 0.0, held_out)
+            .quarantined;
+      };
+      // A quarantined version of `name` most of the time, else an absent
+      // one.
+      const auto pick_quarantined = [&](const std::string& name) {
+        std::vector<std::uint64_t> held;
+        for (const auto& q : registry.quarantined()) {
+          if (q.info.name == name) held.push_back(q.info.version);
+        }
+        if (held.empty() || pick(4) == 0) return std::uint64_t{1000};
+        return held[pick(static_cast<std::uint32_t>(held.size()))];
+      };
+      const auto registered = [&](const std::string& name) {
+        for (const auto& entry : registry.export_state()) {
+          if (entry.name == name) return true;
+        }
+        return false;
+      };
+      // Open a copy of the directory, so that the two registries never
+      // append to one journal.
+      const fs::path reader_dir = dir.path() / "reader";
+      api::Expected<std::unique_ptr<serving::ModelRegistry>> reopened =
+          api::Status::internal("not reopened yet");
+      const auto reopen = [&] {
+        reopened = api::Status::internal("reopening");  // closes the last one
+        fs::remove_all(reader_dir);
+        fs::copy(writer_dir, reader_dir, fs::copy_options::recursive);
+        reopened =
+            serving::ModelRegistry::open(reader_dir.string(), opts, persist);
+      };
+
+      for (int op = 0; op < 150; ++op) {
+        SCOPED_TRACE("op " + std::to_string(op));
+        if (variant == Variant::CompactHalfway && op == 75) {
+          ASSERT_TRUE(registry.compact().is_ok());
+        }
+        const std::string& name = names[pick(3)];
+        const auto journal_size = fs::file_size(journal_path);
+        bool refused = false;
+        switch (pick(8)) {
+          case 0:  // passes the gate
+            EXPECT_FALSE(publish(name, 0.5, 0.9, nullptr));
+            break;
+          case 1:  // fails passivity
+            EXPECT_TRUE(publish(name, 1.1, 1.5, nullptr));
+            break;
+          case 2:  // fails the held-out fit error only
+            EXPECT_TRUE(publish(name, 0.6, 0.9, &mismatched));
+            break;
+          case 3:
+          case 4: {
+            const std::uint64_t version = pick_quarantined(name);
+            const auto held = registry.quarantined(name, version);
+            const bool force = pick(2) == 0;
+            const auto promoted = registry.promote(name, version, force);
+            if (!held) {
+              EXPECT_EQ(promoted.status().code(), api::StatusCode::NotFound);
+            } else if (!force &&
+                       !find_check(held->report, "passivity")->passed) {
+              EXPECT_EQ(promoted.status().code(),
+                        api::StatusCode::NumericalError);
+            } else {
+              ASSERT_TRUE(promoted) << promoted.status().to_string();
+              EXPECT_EQ(promoted->version, version);
+            }
+            refused = !promoted;
+            break;
+          }
+          case 5: {
+            const std::uint64_t version = pick_quarantined(name);
+            const bool held = registry.quarantined(name, version).has_value();
+            EXPECT_EQ(registry.discard(name, version).code(),
+                      held ? api::StatusCode::Ok : api::StatusCode::NotFound);
+            refused = !held;
+            break;
+          }
+          case 6: {
+            const auto live = registry.info(name);
+            const auto rolled = registry.rollback(name);
+            if (!live) {
+              EXPECT_EQ(rolled.status().code(), api::StatusCode::NotFound);
+            } else if (live->history_depth == 0) {
+              EXPECT_EQ(rolled.status().code(),
+                        api::StatusCode::InvalidArgument);
+            } else {
+              ASSERT_TRUE(rolled) << rolled.status().to_string();
+              EXPECT_EQ(registry.info(name)->version, *rolled);
+            }
+            refused = !rolled;
+            break;
+          }
+          default: {
+            const bool present = registered(name);
+            EXPECT_EQ(registry.remove(name), present);
+            refused = !present;
+            break;
+          }
+        }
+        if (refused) {
+          EXPECT_EQ(fs::file_size(journal_path), journal_size)
+              << "a refused operation reached the journal";
+        }
+        // Every prefix of the history is a history: reopen what is on disk
+        // now and compare.
+        reopen();
+        ASSERT_TRUE(reopened) << reopened.status().to_string();
+        expect_same_fleet(registry, **reopened);
+        if (HasFailure()) return;
+      }
+
+      // Both continue the same version sequence.
+      const serving::ModelSnapshot next = snapshot_of(gain_lowpass(0.7));
+      EXPECT_EQ(registry.publish("a", next).version,
+                (*reopened)->publish("a", next).version);
+    }
+  }
 }
 
 // --- AsyncFitter integration -------------------------------------------------
