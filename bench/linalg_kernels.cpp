@@ -32,11 +32,15 @@
 #include "linalg/reference.hpp"
 #include "linalg/simd/dispatch.hpp"
 #include "linalg/svd.hpp"
+#include "loewner/matrices.hpp"
+#include "loewner/real_transform.hpp"
+#include "loewner/tangential.hpp"
 #include "metrics/stopwatch.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/knobs.hpp"
 
 namespace la = mfti::la;
+namespace loewner = mfti::loewner;
 namespace par = mfti::parallel;
 namespace bench = mfti::bench;
 namespace simd = mfti::la::simd;
@@ -270,6 +274,41 @@ int main(int argc, char** argv) {
     const double t =
         best_seconds(repeats, [&] { static_cast<void>(la::svd(a, opts)); });
     rows.push_back({"svd_golub_kahan_complex", n, t, 0.0});
+  }
+
+  // The realize shape of the PDN fit: [w0 LL; sLL] of a 360 x 360 pencil.
+  // realize reads only V, so the Right row is what a fit pays; the Both row
+  // adds the U accumulation and rotations it skips.
+  {
+    la::Rng rng(10);
+    const la::Mat a = la::random_matrix(720, 360, rng);
+    la::SvdOptions opts;
+    opts.algorithm = la::SvdAlgorithm::GolubKahan;
+    const double t_both =
+        best_seconds(repeats, [&] { static_cast<void>(la::svd(a, opts)); });
+    rows.push_back({"svd_golub_kahan_real", 360, t_both, 0.0});
+    opts.vectors = la::SvdVectors::Right;
+    const double t_right =
+        best_seconds(repeats, [&] { static_cast<void>(la::svd(a, opts)); });
+    rows.push_back({"svd_golub_kahan_real_right", 360, t_right, 0.0});
+  }
+
+  // --- Lemma 3.2 real transform ---------------------------------------------
+  // The PDN fit's pencil: 120 samples, t = 3 -> 360 x 360.
+  {
+    const auto freqs =
+        mfti::sampling::linear_grid(bench::kPdnFMin, bench::kPdnFMax, 120);
+    const auto samples = mfti::netgen::sample_s_parameters(
+        bench::example2_pdn_circuit(), freqs, 50.0, bench::kPdnSkinHz);
+    loewner::TangentialOptions topts;
+    topts.uniform_t = 3;
+    const loewner::TangentialData td =
+        loewner::build_tangential_data(samples, topts);
+    const auto [ll, sll] = loewner::loewner_pair(td);
+    const double t = best_seconds(repeats, [&] {
+      static_cast<void>(loewner::real_transform(td, ll, sll));
+    });
+    rows.push_back({"real_transform", td.left_height(), t, 0.0});
   }
 
   // --- QR -------------------------------------------------------------------

@@ -42,13 +42,19 @@ Real inf_norm_impl(const Matrix<T>& a) {
   return best;
 }
 
+// sigma_max needs no high relative accuracy, so it comes from a Golub–Kahan
+// SVD without vectors; Auto would run Jacobi sweeps on small matrices.
 template <typename T>
 Real two_norm_impl(const Matrix<T>& a) {
   if (a.empty()) return 0.0;
-  const std::vector<Real> s = singular_values(a);
+  SvdOptions opts;
+  opts.algorithm = SvdAlgorithm::GolubKahan;
+  const std::vector<Real> s = singular_values(a, opts);
   return s.empty() ? 0.0 : s.front();
 }
 
+// sigma_min must be accurate to high relative precision: keep Auto (Jacobi
+// on small matrices).
 template <typename T>
 Real cond_impl(const Matrix<T>& a) {
   if (a.empty()) return 1.0;

@@ -24,7 +24,8 @@ Real one_norm(const CMat& a);
 Real inf_norm(const Mat& a);
 Real inf_norm(const CMat& a);
 
-/// Spectral norm (largest singular value; computed via the Jacobi SVD).
+/// Spectral norm (largest singular value, from a Golub–Kahan SVD that
+/// computes no vectors).
 Real two_norm(const Mat& a);
 Real two_norm(const CMat& a);
 
@@ -32,7 +33,9 @@ Real two_norm(const CMat& a);
 Real vector_norm(const std::vector<Real>& v);
 Real vector_norm(const std::vector<Complex>& v);
 
-/// Spectral condition number `s_max / s_min`; +inf when singular.
+/// Spectral condition number `s_max / s_min`; +inf when singular. Small
+/// matrices go through Jacobi, which resolves `s_min` to high relative
+/// accuracy.
 Real condition_number(const Mat& a);
 Real condition_number(const CMat& a);
 

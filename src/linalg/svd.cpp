@@ -23,11 +23,11 @@ using parallel::grained;
 // ---------------------------------------------------------------------------
 
 // One plane rotation applied to the column pair (p, q) of g, mirrored onto
-// v. Returns true when a rotation was applied. The column-pair Gram
-// entries and the rotation sweep run through the dispatched Jacobi kernels
-// (simd::kernels<T>()); disjoint pairs touch disjoint columns, so the
-// parallel tournament stays bitwise equal to the serial one for either
-// kernel table.
+// v unless v is empty (V not wanted). Returns true when a rotation was
+// applied. The column-pair Gram entries and the rotation sweep run through
+// the dispatched Jacobi kernels (simd::kernels<T>()); disjoint pairs touch
+// disjoint columns, so the parallel tournament stays bitwise equal to the
+// serial one for either kernel table.
 template <typename T>
 bool rotate_pair(Matrix<T>& g, Matrix<T>& v, std::size_t p, std::size_t q,
                  Real tol) {
@@ -62,13 +62,15 @@ bool rotate_pair(Matrix<T>& g, Matrix<T>& v, std::size_t p, std::size_t q,
 // position n_pad - 1 - t. All pairs within a round are disjoint, so they
 // can rotate concurrently; the serial path visits the same rounds in the
 // same pair order, which keeps parallel sweeps bitwise identical to
-// serial ones.
+// serial ones. The rotations of g never read v, so leaving V out (or U,
+// which is read off g at the end) changes neither s nor the other factor.
 template <typename T>
-Svd<T> svd_jacobi_tall(const Matrix<T>& a, const SvdOptions& opts) {
+Svd<T> svd_jacobi_tall(const Matrix<T>& a, const SvdOptions& opts,
+                       bool want_u, bool want_v) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
   Matrix<T> g = a;
-  Matrix<T> v = Matrix<T>::identity(n);
+  Matrix<T> v = want_v ? Matrix<T>::identity(n) : Matrix<T>();
 
   // Ring of column indices for the tournament schedule; odd n gets one
   // dummy slot whose pairings are byes.
@@ -129,17 +131,19 @@ Svd<T> svd_jacobi_tall(const Matrix<T>& a, const SvdOptions& opts) {
             [&](std::size_t i, std::size_t j) { return s[i] > s[j]; });
 
   Svd<T> out;
-  out.u = Matrix<T>(m, n);
-  out.v = Matrix<T>(n, n);
+  out.u = Matrix<T>(m, want_u ? n : 0);
+  out.v = Matrix<T>(n, want_v ? n : 0);
   out.s.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
     const std::size_t src = order[j];
     out.s[j] = s[src];
-    if (s[src] > 0.0) {
+    if (want_u && s[src] > 0.0) {
       for (std::size_t i = 0; i < m; ++i)
         out.u(i, j) = g(i, src) / static_cast<T>(s[src]);
     }
-    for (std::size_t i = 0; i < n; ++i) out.v(i, j) = v(i, src);
+    if (want_v) {
+      for (std::size_t i = 0; i < n; ++i) out.v(i, j) = v(i, src);
+    }
   }
   return out;
 }
@@ -162,26 +166,30 @@ GivensRot make_rot(Real x, Real y) {
   return {x / r, y / r};
 }
 
-// Column-pair update used for both U and V accumulation:
-// col_a' = c col_a + s col_b ; col_b' = -s col_a + c col_b.
+// Rotation of the singular-vector pair (a, b), which U^T and V^T hold as
+// the contiguous rows a and b:
+// row_a' = c row_a + s row_b ; row_b' = -s row_a + c row_b.
 template <typename T>
-void rotate_columns(Matrix<T>* mat, std::size_t a, std::size_t b,
-                    const GivensRot& g) {
+void rotate_rows(Matrix<T>* mat, std::size_t a, std::size_t b,
+                 const GivensRot& g) {
   if (mat == nullptr) return;
   const T c = static_cast<T>(g.c);
   const T s = static_cast<T>(g.s);
-  for (std::size_t i = 0; i < mat->rows(); ++i) {
-    const T xa = (*mat)(i, a);
-    const T xb = (*mat)(i, b);
-    (*mat)(i, a) = c * xa + s * xb;
-    (*mat)(i, b) = -s * xa + c * xb;
+  T* ra = &(*mat)(a, 0);
+  T* rb = &(*mat)(b, 0);
+  for (std::size_t i = 0; i < mat->cols(); ++i) {
+    const T xa = ra[i];
+    const T xb = rb[i];
+    ra[i] = c * xa + s * xb;
+    rb[i] = -s * xa + c * xb;
   }
 }
 
 // One implicit-shift Golub–Kahan SVD step on the window [lo, hi] of the
-// real bidiagonal (d, e), accumulating rotations into u/v when non-null.
+// real bidiagonal (d, e), accumulating rotations into ut/vt when non-null.
+// The (d, e) recurrence never reads ut or vt.
 void gk_step(std::vector<Real>& d, std::vector<Real>& e, std::size_t lo,
-             std::size_t hi, auto* u, auto* v) {
+             std::size_t hi, auto* ut, auto* vt) {
   // Wilkinson shift from the trailing 2x2 of B^T B.
   const Real dm = d[hi - 1];
   const Real dn = d[hi];
@@ -210,7 +218,7 @@ void gk_step(std::vector<Real>& d, std::vector<Real>& e, std::size_t lo,
     e[k] = -r.s * dk + r.c * ek;
     const Real bulge = r.s * d[k + 1];
     d[k + 1] = r.c * d[k + 1];
-    rotate_columns(v, k, k + 1, r);
+    rotate_rows(vt, k, k + 1, r);
 
     // Left rotation on rows (k, k+1) — chases the bulge at (k+1, k).
     const GivensRot l = make_rot(d[k], bulge);
@@ -218,7 +226,7 @@ void gk_step(std::vector<Real>& d, std::vector<Real>& e, std::size_t lo,
     const Real ek2 = e[k];
     e[k] = l.c * ek2 + l.s * d[k + 1];
     d[k + 1] = -l.s * ek2 + l.c * d[k + 1];
-    rotate_columns(u, k, k + 1, l);
+    rotate_rows(ut, k, k + 1, l);
     if (k + 1 < hi) {
       y = e[k];
       z = l.s * e[k + 1];
@@ -229,14 +237,14 @@ void gk_step(std::vector<Real>& d, std::vector<Real>& e, std::size_t lo,
 
 // d[i] is negligible: zero out row i by rotating it against rows below.
 void chase_zero_diag_row(std::vector<Real>& d, std::vector<Real>& e,
-                         std::size_t i, std::size_t hi, auto* u) {
+                         std::size_t i, std::size_t hi, auto* ut) {
   Real f = e[i];
   e[i] = 0.0;
   d[i] = 0.0;
   for (std::size_t j = i + 1; j <= hi; ++j) {
     const GivensRot g = make_rot(d[j], f);
     d[j] = g.c * d[j] + g.s * f;
-    rotate_columns(u, j, i, g);
+    rotate_rows(ut, j, i, g);
     if (j < hi) {
       f = -g.s * e[j];
       e[j] = g.c * e[j];
@@ -247,14 +255,14 @@ void chase_zero_diag_row(std::vector<Real>& d, std::vector<Real>& e,
 // d[hi] is negligible: zero out column hi by rotating it against columns to
 // the left.
 void chase_zero_diag_col(std::vector<Real>& d, std::vector<Real>& e,
-                         std::size_t lo, std::size_t hi, auto* v) {
+                         std::size_t lo, std::size_t hi, auto* vt) {
   Real f = e[hi - 1];
   e[hi - 1] = 0.0;
   d[hi] = 0.0;
   for (std::size_t j = hi; j-- > lo;) {
     const GivensRot g = make_rot(d[j], f);
     d[j] = g.c * d[j] + g.s * f;
-    rotate_columns(v, j, hi, g);
+    rotate_rows(vt, j, hi, g);
     if (j > lo) {
       f = -g.s * e[j - 1];
       e[j - 1] = g.c * e[j - 1];
@@ -269,13 +277,15 @@ T phase_of(const T& x) {
   return x / static_cast<T>(a);
 }
 
-// Full Golub–Kahan SVD of a tall matrix (m >= n). When `want_uv` is false
-// only the singular values are produced (u/v left empty). The Householder
-// panel updates and the U/V accumulation fan out over columns/rows under a
-// parallel `exec` (per-column arithmetic unchanged -> bitwise identical);
-// the bidiagonal QR iteration is inherently sequential and stays serial.
+// Full Golub–Kahan SVD of a tall matrix (m >= n). A factor not wanted is
+// neither accumulated nor rotated and comes back with zero columns; the
+// bidiagonal recurrence never reads U or V, so s and the other factor are
+// bitwise the same either way. The Householder panel updates and the U/V
+// accumulation fan out over columns/rows under a parallel `exec`
+// (per-column arithmetic unchanged -> bitwise identical); the bidiagonal QR
+// iteration is inherently sequential and stays serial.
 template <typename T>
-Svd<T> svd_golub_kahan_tall(const Matrix<T>& a, bool want_uv,
+Svd<T> svd_golub_kahan_tall(const Matrix<T>& a, bool want_u, bool want_v,
                             const parallel::ExecutionPolicy& exec) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
@@ -365,62 +375,68 @@ Svd<T> svd_golub_kahan_tall(const Matrix<T>& a, bool want_uv,
     }
   }
 
-  // --- accumulate U (m x n) and V (n x n) ----------------------------------
-  Matrix<T> u_mat, v_mat;
-  Matrix<T>* u = nullptr;
-  Matrix<T>* v = nullptr;
-  if (want_uv) {
-    u_mat = Matrix<T>(m, n);
+  // --- accumulate U^T (n x m) and V^T (n x n) ------------------------------
+  // Row k of ut / vt is column k of U / V, so the QR sweep below rotates
+  // contiguous rows; per entry the arithmetic is that of rotating columns.
+  Matrix<T> ut, vt;
+  if (want_u) {
+    Matrix<T> u_mat(m, n);
     for (std::size_t i = 0; i < n; ++i) u_mat(i, i) = T{1};
     for (std::size_t k = n; k-- > 0;) {
       detail::apply_reflector(g, k, beta_left[k], u_mat, 0, scratch, exec);
     }
-    v_mat = Matrix<T>::identity(n);
+    ut = u_mat.transpose();
+  }
+  if (want_v) {
+    vt = Matrix<T>::identity(n);
     for (std::size_t k = (n >= 2 ? n - 2 : 0); k-- > 0;) {
       if (beta_right[k] == 0.0) continue;
-      // P = I - beta v v^* with v_j = conj(g(k, j)) for j >= k+2, v_{k+1}=1.
+      // P = I - beta v v^* with v_j = conj(g(k, j)) for j >= k+2, v_{k+1}=1,
+      // applied to each column j of V (row j of vt).
       const auto pol = grained(exec, (n - k) * n);
       parallel::parallel_for_chunks(
           n, pol, [&](std::size_t j0, std::size_t j1) {
             for (std::size_t j = j0; j < j1; ++j) {
-              T w = v_mat(k + 1, j);
+              T* col = &vt(j, 0);
+              T w = col[k + 1];
               for (std::size_t i = k + 2; i < n; ++i)
-                w += g(k, i) * v_mat(i, j);  // conj(v_i) = g(k, i)
+                w += g(k, i) * col[i];  // conj(v_i) = g(k, i)
               w *= static_cast<T>(beta_right[k]);
-              v_mat(k + 1, j) -= w;
+              col[k + 1] -= w;
               for (std::size_t i = k + 2; i < n; ++i)
-                v_mat(i, j) -= detail::conj_if_complex(g(k, i)) * w;
+                col[i] -= detail::conj_if_complex(g(k, i)) * w;
             }
           });
     }
-    u = &u_mat;
-    v = &v_mat;
   }
 
   // --- phase-normalise the bidiagonal to real, non-negative ----------------
   std::vector<Real> d(n, 0.0);
   std::vector<Real> e(n > 0 ? n - 1 : 0, 0.0);
-  T dr = T{1};  // running right phase (applies to V column k)
+  T dr = T{1};  // running right phase (applies to V column k, row k of vt)
   for (std::size_t k = 0; k < n; ++k) {
     const T dk = g(k, k) * dr;
     const T dl = phase_of(dk);
     d[k] = detail::abs_value(dk);
-    if (u != nullptr && dl != T{1}) {
-      for (std::size_t i = 0; i < m; ++i) (*u)(i, k) = (*u)(i, k) * dl;
+    if (want_u && dl != T{1}) {
+      for (std::size_t i = 0; i < m; ++i) ut(k, i) = ut(k, i) * dl;
     }
     if (k + 1 < n) {
       const T ek = detail::conj_if_complex(dl) * g(k, k + 1);
       const T drn = detail::conj_if_complex(phase_of(ek));
       e[k] = detail::abs_value(ek);
-      if (v != nullptr && drn != T{1}) {
+      if (want_v && drn != T{1}) {
         for (std::size_t i = 0; i < n; ++i)
-          (*v)(i, k + 1) = (*v)(i, k + 1) * drn;
+          vt(k + 1, i) = vt(k + 1, i) * drn;
       }
       dr = drn;
     }
   }
 
   // --- implicit-shift QR on the real bidiagonal ----------------------------
+  // Only the wanted factors are rotated (null pointers skip the others).
+  Matrix<T>* ut_rows = want_u ? &ut : nullptr;
+  Matrix<T>* vt_rows = want_v ? &vt : nullptr;
   if (n >= 2) {
     Real bnorm = 0.0;
     for (Real x : d) bnorm = std::max(bnorm, std::abs(x));
@@ -449,20 +465,20 @@ Svd<T> svd_golub_kahan_tall(const Matrix<T>& a, bool want_uv,
       // Negligible diagonal entries require a special chase.
       const Real dtol = kEps * (bnorm + tiny);
       if (std::abs(d[hi]) <= dtol) {
-        chase_zero_diag_col(d, e, lo, hi, v);
+        chase_zero_diag_col(d, e, lo, hi, vt_rows);
         continue;
       }
       bool chased = false;
       for (std::size_t i = lo; i < hi; ++i) {
         if (std::abs(d[i]) <= dtol) {
-          chase_zero_diag_row(d, e, i, hi, u);
+          chase_zero_diag_row(d, e, i, hi, ut_rows);
           chased = true;
           break;
         }
       }
       if (chased) continue;
 
-      gk_step(d, e, lo, hi, u, v);
+      gk_step(d, e, lo, hi, ut_rows, vt_rows);
     }
   }
 
@@ -470,8 +486,8 @@ Svd<T> svd_golub_kahan_tall(const Matrix<T>& a, bool want_uv,
   for (std::size_t k = 0; k < n; ++k) {
     if (d[k] < 0.0) {
       d[k] = -d[k];
-      if (v != nullptr) {
-        for (std::size_t i = 0; i < n; ++i) (*v)(i, k) = -(*v)(i, k);
+      if (want_v) {
+        for (std::size_t i = 0; i < n; ++i) vt(k, i) = -vt(k, i);
       }
     }
   }
@@ -482,49 +498,48 @@ Svd<T> svd_golub_kahan_tall(const Matrix<T>& a, bool want_uv,
 
   Svd<T> out;
   out.s.resize(n);
-  if (want_uv) {
-    out.u = Matrix<T>(m, n);
-    out.v = Matrix<T>(n, n);
-  } else {
-    out.u = Matrix<T>(m, 0);
-    out.v = Matrix<T>(n, 0);
-  }
+  out.u = Matrix<T>(m, want_u ? n : 0);
+  out.v = Matrix<T>(n, want_v ? n : 0);
   for (std::size_t j = 0; j < n; ++j) {
     const std::size_t src = order[j];
     out.s[j] = d[src];
-    if (want_uv) {
-      for (std::size_t i = 0; i < m; ++i) out.u(i, j) = u_mat(i, src);
-      for (std::size_t i = 0; i < n; ++i) out.v(i, j) = v_mat(i, src);
+    if (want_u) {
+      for (std::size_t i = 0; i < m; ++i) out.u(i, j) = ut(src, i);
+    }
+    if (want_v) {
+      for (std::size_t i = 0; i < n; ++i) out.v(i, j) = vt(src, i);
     }
   }
   return out;
 }
 
 template <typename T>
-Svd<T> svd_tall(const Matrix<T>& a, const SvdOptions& opts, bool want_uv) {
+Svd<T> svd_tall(const Matrix<T>& a, const SvdOptions& opts, bool want_u,
+                bool want_v) {
   switch (opts.algorithm) {
     case SvdAlgorithm::Jacobi:
-      return svd_jacobi_tall(a, opts);
+      return svd_jacobi_tall(a, opts, want_u, want_v);
     case SvdAlgorithm::GolubKahan:
-      return svd_golub_kahan_tall(a, want_uv, opts.exec);
+      return svd_golub_kahan_tall(a, want_u, want_v, opts.exec);
     case SvdAlgorithm::Auto:
       break;
   }
-  if (a.cols() <= 32) return svd_jacobi_tall(a, opts);
-  return svd_golub_kahan_tall(a, want_uv, opts.exec);
+  if (a.cols() <= 32) return svd_jacobi_tall(a, opts, want_u, want_v);
+  return svd_golub_kahan_tall(a, want_u, want_v, opts.exec);
 }
 
 template <typename T>
-Svd<T> svd_impl(const Matrix<T>& a, const SvdOptions& opts, bool want_uv) {
+Svd<T> svd_impl(const Matrix<T>& a, const SvdOptions& opts, bool want_u,
+                bool want_v) {
   if (a.empty()) {
     return Svd<T>{Matrix<T>(a.rows(), 0), {}, Matrix<T>(a.cols(), 0)};
   }
   if (a.rows() >= a.cols()) {
-    return svd_tall(a, opts, want_uv);
+    return svd_tall(a, opts, want_u, want_v);
   }
   // SVD of the adjoint, then swap the factors: A^* = U S V^* =>
   // A = V S U^*.
-  Svd<T> t = svd_tall(a.adjoint(), opts, want_uv);
+  Svd<T> t = svd_tall(a.adjoint(), opts, want_v, want_u);
   return Svd<T>{std::move(t.v), std::move(t.s), std::move(t.u)};
 }
 
@@ -541,12 +556,13 @@ Matrix<T> Svd<T>::reconstruct() const {
 
 template <typename T>
 Svd<T> svd(const Matrix<T>& a, const SvdOptions& opts) {
-  return svd_impl(a, opts, /*want_uv=*/true);
+  return svd_impl(a, opts, opts.vectors != SvdVectors::Right,
+                  opts.vectors != SvdVectors::Left);
 }
 
 template <typename T>
 std::vector<Real> singular_values(const Matrix<T>& a, const SvdOptions& opts) {
-  return svd_impl(a, opts, /*want_uv=*/false).s;
+  return svd_impl(a, opts, /*want_u=*/false, /*want_v=*/false).s;
 }
 
 std::size_t numerical_rank(const std::vector<Real>& s, Real rel_tol) {

@@ -1,15 +1,23 @@
 /// \file svd.hpp
-/// \brief Singular value decomposition via one-sided Jacobi rotations.
+/// \brief Singular value decomposition: Golub–Kahan bidiagonalization with
+/// implicit-shift bidiagonal QR, and one-sided Jacobi rotations.
 ///
 /// The SVD is the workhorse of the Loewner framework: the numerical rank of
 /// `x0*L - sL` (Lemma 3.4 of the paper) determines the order of the
 /// recovered model, and its singular vectors project the raw Loewner pencil
-/// down to a minimal realization. One-sided Jacobi is chosen because it is
-/// simple, unconditionally convergent in practice, and computes small
-/// singular values to high relative accuracy — exactly what the
-/// "sharp drop" detection of Fig. 1 needs. Jacobi sweeps follow a
-/// round-robin tournament over column pairs, so the disjoint pairs of
-/// each round can rotate in parallel without changing the result.
+/// down to a minimal realization. `SvdAlgorithm::Auto` runs Golub–Kahan
+/// (O(m n^2), what LAPACK's gesvd does) above 32 columns and one-sided
+/// Jacobi at or below. Jacobi is simple, unconditionally convergent in
+/// practice, and computes small singular values to high relative accuracy —
+/// exactly what the "sharp drop" detection of Fig. 1 needs on small
+/// matrices. Its sweeps follow a round-robin tournament over column pairs,
+/// so the disjoint pairs of each round can rotate in parallel without
+/// changing the result.
+///
+/// `SvdOptions::vectors` asks for one factor only (`Left` = U, `Right` =
+/// V). The unused factor is then never accumulated or rotated; the
+/// singular values and the factor returned are bitwise the same as with
+/// `Both`, because neither algorithm's recurrence reads the vectors.
 
 #pragma once
 
@@ -23,7 +31,8 @@ namespace mfti::la {
 
 /// Thin SVD `A = U diag(s) V^*` with `r = min(rows, cols)`:
 /// `u` is rows x r, `s` holds r non-negative values in descending order,
-/// `v` is cols x r.
+/// `v` is cols x r. A factor left out by `SvdOptions::vectors` has zero
+/// columns.
 ///
 /// Columns of `u`/`v` associated with singular values that are exactly zero
 /// are zero vectors (no arbitrary basis completion is invented); downstream
@@ -50,9 +59,20 @@ enum class SvdAlgorithm {
   GolubKahan,
 };
 
+/// Which singular-vector factors `svd` returns.
+enum class SvdVectors {
+  Both,   ///< U and V.
+  Left,   ///< U only; `v` comes back with zero columns.
+  Right,  ///< V only; `u` comes back with zero columns.
+};
+
 /// Options for the SVD.
 struct SvdOptions {
   SvdAlgorithm algorithm = SvdAlgorithm::Auto;
+  /// Factors to compute. A wide input (rows < cols) is decomposed through
+  /// its adjoint with Left and Right swapped, so the choice always names
+  /// the factor of `a` itself. `singular_values` ignores this field.
+  SvdVectors vectors = SvdVectors::Both;
   /// Jacobi: maximum number of full sweeps over all column pairs.
   int max_sweeps = 64;
   /// Jacobi: two columns count as orthogonal when

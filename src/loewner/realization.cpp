@@ -35,6 +35,14 @@ std::size_t select_order(const std::vector<Real>& s,
   return s.size();
 }
 
+la::SvdOptions svd_options(la::SvdVectors vectors,
+                           const RealizationOptions& opts) {
+  la::SvdOptions svd_opts;
+  svd_opts.vectors = vectors;
+  svd_opts.exec = opts.exec;
+  return svd_opts;
+}
+
 template <typename T>
 la::Matrix<T> scale_matrix(const la::Matrix<T>& a, Real f) {
   la::Matrix<T> out = a;
@@ -56,11 +64,12 @@ Realization realize(const TangentialData& d, const CMat& loewner,
   const Real w0 = opts.frequency_scaling ? dominant_omega(d) : 1.0;
 
   // Row space of [w0*LL, sLL]  ->  Y;  column space of [w0*LL; sLL] -> X.
-  la::SvdOptions svd_opts;
-  svd_opts.exec = opts.exec;
+  // Each SVD computes only the factor read below.
   const Mat ll_s = scale_matrix(rp.loewner, w0);
-  const la::Svd<Real> row_svd = la::svd(la::hstack(ll_s, rp.shifted), svd_opts);
-  const la::Svd<Real> col_svd = la::svd(la::vstack(ll_s, rp.shifted), svd_opts);
+  const la::Svd<Real> row_svd = la::svd(
+      la::hstack(ll_s, rp.shifted), svd_options(la::SvdVectors::Left, opts));
+  const la::Svd<Real> col_svd = la::svd(
+      la::vstack(ll_s, rp.shifted), svd_options(la::SvdVectors::Right, opts));
 
   std::size_t r = std::min(select_order(row_svd.s, opts),
                            select_order(col_svd.s, opts));
@@ -92,16 +101,14 @@ ComplexRealization realize_complex(const TangentialData& d,
   const auto [ll, sll] = loewner_pair(d, opts.exec);
   const Real w0 = opts.frequency_scaling ? dominant_omega(d) : 1.0;
 
-  la::SvdOptions svd_opts;
-  svd_opts.exec = opts.exec;
   std::vector<Real> sel_s;
   CMat y, x;
   if (opts.pencil == SvdPencil::TwoSided) {
     const CMat ll_s = scale_matrix(ll, w0);
-    const la::Svd<Complex> row_svd =
-        la::svd(la::hstack(ll_s, sll), svd_opts);
-    const la::Svd<Complex> col_svd =
-        la::svd(la::vstack(ll_s, sll), svd_opts);
+    const la::Svd<Complex> row_svd = la::svd(
+        la::hstack(ll_s, sll), svd_options(la::SvdVectors::Left, opts));
+    const la::Svd<Complex> col_svd = la::svd(
+        la::vstack(ll_s, sll), svd_options(la::SvdVectors::Right, opts));
     std::size_t r = std::min(select_order(row_svd.s, opts),
                              select_order(col_svd.s, opts));
     r = std::min({r, d.left_height(), d.right_width()});
@@ -121,7 +128,8 @@ ComplexRealization realize_complex(const TangentialData& d,
     for (std::size_t i = 0; i < pencil.rows(); ++i)
       for (std::size_t j = 0; j < pencil.cols(); ++j)
         pencil(i, j) = x0 * ll(i, j) - sll(i, j);
-    const la::Svd<Complex> ps = la::svd(pencil, svd_opts);
+    const la::Svd<Complex> ps =
+        la::svd(pencil, svd_options(la::SvdVectors::Both, opts));
     std::size_t r = select_order(ps.s, opts);
     r = std::min({r, d.left_height(), d.right_width()});
     if (r == 0) {

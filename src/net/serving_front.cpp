@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -108,21 +109,60 @@ Json error_entry(const api::Status& status) {
   return entry;
 }
 
-Json matrix_json(const la::CMat& m) {
-  Json out = Json::object();
-  out.set("rows", Json(static_cast<double>(m.rows())));
-  out.set("cols", Json(static_cast<double>(m.cols())));
-  Json re = Json::array();
-  Json im = Json::array();
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    for (std::size_t j = 0; j < m.cols(); ++j) {
-      re.push_back(Json(m(i, j).real()));
-      im.push_back(Json(m(i, j).imag()));
-    }
+/// A number as `Json::dump` prints it: `%.17g` (which `to_chars` in
+/// general format at precision 17 spells byte for byte), `null` when not
+/// finite.
+void append_number(double value, std::string* out) {
+  if (!std::isfinite(value)) {
+    out->append("null");
+    return;
   }
-  out.set("re", std::move(re));
-  out.set("im", std::move(im));
-  return out;
+  char buf[32];
+  const auto done = std::to_chars(buf, buf + sizeof buf, value,
+                                  std::chars_format::general, 17);
+  out->append(buf, done.ptr);
+}
+
+/// Upper bound on the bytes `append_eval_entry` writes: a `%.17g` number
+/// takes at most 24 characters plus its comma.
+std::size_t eval_entry_bound(const serving::EvalResponse& eval) {
+  std::size_t bytes = 128 + 6 * eval.model.size();
+  for (const la::CMat& value : eval.values) bytes += 96 + 50 * value.size();
+  return bytes;
+}
+
+/// One successful `/v1/eval` entry, written straight into the body with
+/// the bytes the `Json` tree would dump: keys in sorted order (`model`,
+/// `unique_points`, `values`, `version`; per value `cols`, `im`, `re`,
+/// `rows`), entries row-major. No tree of per-number nodes is built.
+void append_eval_entry(const serving::EvalResponse& eval, std::string* out) {
+  out->append("{\"model\":");
+  json_escape(eval.model, out);
+  out->append(",\"unique_points\":");
+  append_number(static_cast<double>(eval.unique_points), out);
+  out->append(",\"values\":[");
+  for (std::size_t k = 0; k < eval.values.size(); ++k) {
+    const la::CMat& m = eval.values[k];
+    if (k != 0) out->push_back(',');
+    out->append("{\"cols\":");
+    append_number(static_cast<double>(m.cols()), out);
+    out->append(",\"im\":[");
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      if (i != 0) out->push_back(',');
+      append_number(m.data()[i].imag(), out);
+    }
+    out->append("],\"re\":[");
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      if (i != 0) out->push_back(',');
+      append_number(m.data()[i].real(), out);
+    }
+    out->append("],\"rows\":");
+    append_number(static_cast<double>(m.rows()), out);
+    out->push_back('}');
+  }
+  out->append("],\"version\":");
+  append_number(static_cast<double>(eval.version), out);
+  out->push_back('}');
 }
 
 Json info_json(const serving::ModelInfo& info) {
@@ -552,21 +592,23 @@ HttpResponse ServingFront::handle_eval(
 
   // Items that fail to parse get their error entry without touching the
   // engine; the rest dispatch as one engine batch (shared pool fan-out).
-  std::vector<Json> entries(items.size());
+  // Each entry ends up with either a value or an error status.
+  std::vector<const serving::EvalResponse*> values(items.size(), nullptr);
+  std::vector<api::Status> errors(items.size());
   std::vector<serving::EvalRequest> batch;
   std::vector<std::size_t> batch_slot;  // entry index of each batch element
   for (std::size_t i = 0; i < items.size(); ++i) {
     const Json* model = items[i]->find("model");
     if (model == nullptr || !model->is_string()) {
-      entries[i] = error_entry(api::Status::invalid_argument(
-          "eval item needs a string 'model'"));
+      errors[i] =
+          api::Status::invalid_argument("eval item needs a string 'model'");
       continue;
     }
     serving::EvalRequest eval;
     eval.model = model->as_string();
     const api::Status points = parse_points(*items[i], &eval);
     if (!points.is_ok()) {
-      entries[i] = error_entry(points);
+      errors[i] = points;
       continue;
     }
     eval.cancel = token;
@@ -578,43 +620,49 @@ HttpResponse ServingFront::handle_eval(
   const auto responses = engine_.evaluate(batch);
   bool deadline_hit = false;
   for (std::size_t b = 0; b < responses.size(); ++b) {
-    Json& entry = entries[batch_slot[b]];
+    const std::size_t i = batch_slot[b];
     if (!responses[b]) {
       if (responses[b].status().code() == api::StatusCode::Cancelled) {
         deadline_hit = true;
       }
-      entry = error_entry(responses[b].status());
+      errors[i] = responses[b].status();
       continue;
     }
-    const serving::EvalResponse& eval = *responses[b];
-    entry = Json::object();
-    entry.set("model", Json(eval.model));
-    entry.set("version", Json(static_cast<double>(eval.version)));
-    entry.set("unique_points",
-              Json(static_cast<double>(eval.unique_points)));
-    Json values = Json::array();
-    for (const la::CMat& value : eval.values) {
-      values.push_back(matrix_json(value));
-    }
-    entry.set("values", std::move(values));
+    values[i] = &*responses[b];
   }
   if (deadline_hit) metrics_.count_deadline_expired();
 
   // Per-request error isolation: a multi-item batch always answers 200
   // with inline per-entry errors; a single-item request takes its entry's
   // HTTP status so plain clients see 404/422/408 directly.
-  int status = 200;
-  if (entries.size() == 1) {
-    if (const Json* error = entries[0].find("error")) {
-      if (const Json* http = error->find("http")) {
-        status = static_cast<int>(http->as_number());
-      }
+  HttpResponse response;
+  response.status = 200;
+  if (items.size() == 1 && values[0] == nullptr) {
+    response.status = http_status_for(errors[0].code()).code;
+  }
+  response.headers["Content-Type"] = "application/json";
+
+  // The body is {"responses":[...]} plus the optional "timings" block, in
+  // the bytes a `Json` tree would dump. Successful entries, which carry
+  // every number, are written straight into the buffer, sized once; only
+  // the small error entries and timings go through `Json`.
+  std::string& body = response.body;
+  std::size_t bound = 64;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    bound += values[i] != nullptr ? eval_entry_bound(*values[i])
+                                  : 256 + 6 * errors[i].message().size();
+  }
+  body.reserve(bound);
+  body.append("{\"responses\":[");
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (i != 0) body.push_back(',');
+    if (values[i] != nullptr) {
+      append_eval_entry(*values[i], &body);
+    } else {
+      error_entry(errors[i]).dump_to(&body);
     }
   }
-  Json body = Json::object();
-  Json list = Json::array();
-  for (Json& entry : entries) list.push_back(std::move(entry));
-  body.set("responses", std::move(list));
+  body.push_back(']');
   // Opt-in per-request timings: the spans recorded so far (queue,
   // admission, and everything the engine just added), aggregated per
   // stage. The client sees where its own request spent its time without
@@ -639,9 +687,11 @@ HttpResponse ServingFront::handle_eval(
     Json timings = Json::object();
     timings.set("id", Json(trace->id()));
     timings.set("stages", std::move(stages));
-    body.set("timings", std::move(timings));
+    body.append(",\"timings\":");
+    timings.dump_to(&body);
   }
-  return json_response(status, body);
+  body.append("}\n");
+  return response;
 }
 
 HttpResponse ServingFront::handle_models(std::string_view path) const {

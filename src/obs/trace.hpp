@@ -47,7 +47,7 @@ namespace mfti::obs {
 enum class Stage : std::uint8_t {
   Queue = 0,  ///< ready-queue wait: (re)enqueue -> request handling
   Admission,  ///< rate-limiter decision on POST /v1/eval
-  Lookup,     ///< registry acquire (lock-free snapshot read)
+  Lookup,     ///< registry acquire (state pointer copied under a mutex)
   Solve,      ///< one point: O(n^2 m) Hessenberg solve + C X + D
 };
 inline constexpr std::size_t kStageCount = 4;

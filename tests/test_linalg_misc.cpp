@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "linalg/lstsq.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/random.hpp"
+#include "linalg/svd.hpp"
 
 namespace la = mfti::la;
 using la::CMat;
@@ -137,4 +140,52 @@ TEST(Random, OrthonormalColumns) {
   Mat q = la::random_orthonormal(10, 4, rng);
   EXPECT_TRUE(la::approx_equal(q.transpose() * q, Mat::identity(4), 1e-10,
                                1e-10));
+}
+
+// two_norm reads sigma_max off a Golub–Kahan SVD without vectors; the
+// Jacobi SVD, accurate to high relative precision, is the reference.
+namespace {
+
+template <typename T>
+double jacobi_sigma_max(const la::Matrix<T>& a) {
+  la::SvdOptions opts;
+  opts.algorithm = la::SvdAlgorithm::Jacobi;
+  return la::singular_values(a, opts).front();
+}
+
+}  // namespace
+
+TEST(Norms, TwoNormMatchesJacobiSigmaMax) {
+  la::Rng rng(31);
+  const std::vector<Mat> reals{
+      Mat{{-2.5}},
+      la::random_matrix(1, 9, rng),
+      la::random_matrix(9, 1, rng),
+      la::random_matrix(40, 30, rng),
+      la::random_matrix(12, 1, rng) * la::random_matrix(1, 7, rng),  // rank 1
+  };
+  for (const Mat& a : reals) {
+    SCOPED_TRACE(std::to_string(a.rows()) + "x" + std::to_string(a.cols()));
+    const double ref = jacobi_sigma_max(a);
+    EXPECT_NEAR(la::two_norm(a), ref, 1e-13 * ref);
+  }
+  const std::vector<CMat> complexes{
+      CMat{{Complex(0.3, -1.2)}},
+      la::random_complex_matrix(1, 6, rng),
+      la::random_complex_matrix(6, 1, rng),
+      la::random_complex_matrix(14, 14, rng),
+      la::random_complex_matrix(14, 1, rng) *
+          la::random_complex_matrix(1, 14, rng),  // rank 1
+  };
+  for (const CMat& a : complexes) {
+    SCOPED_TRACE(std::to_string(a.rows()) + "x" + std::to_string(a.cols()));
+    const double ref = jacobi_sigma_max(a);
+    EXPECT_NEAR(la::two_norm(a), ref, 1e-13 * ref);
+  }
+}
+
+TEST(Norms, TwoNormOfZeroMatrixIsZero) {
+  EXPECT_EQ(la::two_norm(Mat(5, 3)), 0.0);
+  EXPECT_EQ(la::two_norm(CMat(14, 14)), 0.0);
+  EXPECT_EQ(la::two_norm(Mat()), 0.0);
 }

@@ -1,5 +1,6 @@
-// Unit and property tests for the one-sided Jacobi SVD and the rank /
-// gap-detection helpers that drive the Loewner order selection.
+// Unit and property tests for the SVD (one-sided Jacobi, Golub–Kahan and
+// their single-factor modes) and the rank / gap-detection helpers that
+// drive the Loewner order selection.
 
 #include "linalg/svd.hpp"
 
@@ -263,4 +264,89 @@ TEST(GolubKahan, GradedMatrixSmallSingularValuesAccurate) {
   for (std::size_t i = 0; i < 5; ++i) {
     EXPECT_NEAR(s[i] / diag[i], 1.0, 1e-10);
   }
+}
+
+// --- one-sided factors -----------------------------------------------------
+
+namespace {
+
+// Left and Right must return the singular values and the requested factor
+// bitwise as Both does, and the other factor with zero columns.
+template <typename T>
+void expect_one_sided_matches_both(const la::Matrix<T>& a,
+                                   la::SvdAlgorithm algorithm) {
+  la::SvdOptions opts;
+  opts.algorithm = algorithm;
+  const la::Svd<T> both = la::svd(a, opts);
+  opts.vectors = la::SvdVectors::Left;
+  const la::Svd<T> left = la::svd(a, opts);
+  opts.vectors = la::SvdVectors::Right;
+  const la::Svd<T> right = la::svd(a, opts);
+
+  EXPECT_EQ(left.s, both.s);
+  EXPECT_TRUE(left.u == both.u);
+  EXPECT_EQ(left.v.rows(), a.cols());
+  EXPECT_EQ(left.v.cols(), 0u);
+
+  EXPECT_EQ(right.s, both.s);
+  EXPECT_TRUE(right.v == both.v);
+  EXPECT_EQ(right.u.rows(), a.rows());
+  EXPECT_EQ(right.u.cols(), 0u);
+}
+
+struct OneSidedCase {
+  std::size_t rows;
+  std::size_t cols;
+  la::SvdAlgorithm algorithm;
+};
+
+class SvdOneSided : public ::testing::TestWithParam<OneSidedCase> {};
+
+}  // namespace
+
+TEST_P(SvdOneSided, RealFactorIsBitwiseBoth) {
+  const auto [m, n, algorithm] = GetParam();
+  la::Rng rng(1600 + m * 31 + n);
+  expect_one_sided_matches_both(la::random_matrix(m, n, rng), algorithm);
+}
+
+TEST_P(SvdOneSided, ComplexFactorIsBitwiseBoth) {
+  const auto [m, n, algorithm] = GetParam();
+  la::Rng rng(1700 + m * 31 + n);
+  expect_one_sided_matches_both(la::random_complex_matrix(m, n, rng),
+                                algorithm);
+}
+
+TEST_P(SvdOneSided, RankDeficientFactorIsBitwiseBoth) {
+  const auto [m, n, algorithm] = GetParam();
+  la::Rng rng(1800 + m * 31 + n);
+  const std::size_t r = std::min(m, n) / 3;
+  const Mat real = la::random_matrix(m, r, rng) * la::random_matrix(r, n, rng);
+  expect_one_sided_matches_both(real, algorithm);
+  const CMat left = la::random_complex_matrix(m, r, rng);
+  const CMat right = la::random_complex_matrix(r, n, rng);
+  expect_one_sided_matches_both(CMat(left * right), algorithm);
+}
+
+// Auto picks Jacobi up to 32 columns of the tall orientation and
+// Golub–Kahan above; wide inputs go through their adjoint.
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, SvdOneSided,
+    ::testing::Values(OneSidedCase{30, 18, la::SvdAlgorithm::Auto},
+                      OneSidedCase{18, 30, la::SvdAlgorithm::Auto},
+                      OneSidedCase{72, 40, la::SvdAlgorithm::Auto},
+                      OneSidedCase{40, 72, la::SvdAlgorithm::Auto},
+                      OneSidedCase{25, 12, la::SvdAlgorithm::Jacobi},
+                      OneSidedCase{12, 25, la::SvdAlgorithm::Jacobi},
+                      OneSidedCase{60, 45, la::SvdAlgorithm::GolubKahan},
+                      OneSidedCase{45, 60, la::SvdAlgorithm::GolubKahan},
+                      OneSidedCase{9, 9, la::SvdAlgorithm::GolubKahan}));
+
+TEST(SvdVectors, EmptyMatrixKeepsShapes) {
+  la::SvdOptions opts;
+  opts.vectors = la::SvdVectors::Right;
+  const auto d = la::svd(Mat(4, 0), opts);
+  EXPECT_TRUE(d.s.empty());
+  EXPECT_EQ(d.u.rows(), 4u);
+  EXPECT_EQ(d.v.rows(), 0u);
 }

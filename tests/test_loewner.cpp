@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 #include "linalg/norms.hpp"
@@ -247,6 +249,74 @@ INSTANTIATE_TEST_SUITE_P(
                       LoewnerCase{12, 4, 4, 6, 0},
                       LoewnerCase{5, 3, 0, 7, 2},   // odd sample count
                       LoewnerCase{16, 2, 1, 10, 2}));
+
+namespace {
+
+// Entry-wise |got - Re(dense)| <= 4 eps of the largest entry.
+void expect_close(const Mat& got, const CMat& dense, const char* what) {
+  const Mat want = la::real_part(dense);
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  const double bound = 4.0 * std::numeric_limits<double>::epsilon() *
+                       std::max(want.max_abs(), got.max_abs());
+  double worst = 0.0;
+  for (std::size_t i = 0; i < want.rows(); ++i) {
+    for (std::size_t j = 0; j < want.cols(); ++j) {
+      worst = std::max(worst, std::abs(got(i, j) - want(i, j)));
+    }
+  }
+  EXPECT_LE(worst, bound) << what;
+}
+
+}  // namespace
+
+// real_transform applies T_L^* and T_R as pair sums; the dense products
+// with pair_transform are the oracle. The sums follow the dense order, so
+// the default build is bitwise equal, but FMA contraction (MFTI_NATIVE,
+// AVX2 GEMM kernels) may round differently: allow 4 eps of the largest
+// entry.
+TEST(LoewnerMatrices, RealTransformMatchesDensePairTransform) {
+  // 7 samples with t cycling 1, 2, 3: right pairs take t = 1, 3, 2, 1
+  // (Kr = 14) and left pairs t = 2, 1, 3 (Kl = 12).
+  const auto sys = make_system(9, 3, 1, 71);
+  const auto data = sample(sys, 7);
+  lw::TangentialOptions opts;
+  opts.t_per_sample = {1, 2, 3, 1, 2, 3, 1};
+  const lw::TangentialData td = lw::build_tangential_data(data, opts);
+  ASSERT_NE(td.left_height(), td.right_width());
+  const auto [ll, sll] = lw::loewner_pair(td);
+  const lw::RealLoewnerPencil rp = lw::real_transform(td, ll, sll);
+
+  const CMat t_left_adj = lw::pair_transform(td.left_t).adjoint();
+  const CMat t_right = lw::pair_transform(td.right_t);
+  expect_close(rp.loewner, t_left_adj * ll * t_right, "LL");
+  expect_close(rp.shifted, t_left_adj * sll * t_right, "sLL");
+  expect_close(rp.v, t_left_adj * td.v, "V");
+  expect_close(rp.w, td.w * t_right, "W");
+}
+
+TEST(LoewnerMatrices, RealTransformRejectsNonConjugateData) {
+  const auto sys = make_system(6, 3, 0, 73);
+  const auto data = sample(sys, 6);
+  lw::TangentialOptions opts;
+  opts.t_per_sample = {1, 2, 3, 1, 2, 3};
+  const lw::TangentialData td = lw::build_tangential_data(data, opts);
+  const auto [ll, sll] = lw::loewner_pair(td);
+  // One pencil entry off its conjugate partner.
+  CMat bent_ll = ll;
+  bent_ll(0, 0) += Complex(0.0, 0.5 * (1.0 + ll.max_abs()));
+  EXPECT_THROW(lw::real_transform(td, bent_ll, sll), std::invalid_argument);
+  CMat bent_sll = sll;
+  bent_sll(0, 0) += Complex(0.0, 0.5 * (1.0 + sll.max_abs()));
+  EXPECT_THROW(lw::real_transform(td, ll, bent_sll), std::invalid_argument);
+  // One port-data entry off its conjugate partner.
+  lw::TangentialData bad_w = td;
+  bad_w.w(0, 0) += Complex(0.0, 0.5 * (1.0 + td.w.max_abs()));
+  EXPECT_THROW(lw::real_transform(bad_w, ll, sll), std::invalid_argument);
+  lw::TangentialData bad_v = td;
+  bad_v.v(0, 0) += Complex(0.0, 0.5 * (1.0 + td.v.max_abs()));
+  EXPECT_THROW(lw::real_transform(bad_v, ll, sll), std::invalid_argument);
+}
 
 TEST(LoewnerMatrices, PairTransformIsUnitary) {
   const CMat t = lw::pair_transform({2, 1, 3});

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -806,4 +807,158 @@ TEST(ServingFront, TracingDisabledStillEchoesIdsAtZeroCost) {
   EXPECT_NE(metrics->body.find(
                 "mfti_stage_seconds_count{stage=\"solve\"} 0"),
             std::string::npos);
+}
+
+// --- the streamed /v1/eval body against the Json tree ------------------------
+
+namespace {
+
+/// One eval entry as a `net::Json` tree: the byte-level oracle for the
+/// entries the front writes straight into the body.
+net::Json tree_entry(const api::Expected<serving::EvalResponse>& response) {
+  if (!response) {
+    const api::Status& status = response.status();
+    net::Json inner = net::Json::object();
+    inner.set("code", net::Json(api::status_code_name(status.code())));
+    const int http = net::http_status_for(status.code()).code;
+    inner.set("http", net::Json(static_cast<double>(http)));
+    inner.set("message", net::Json(status.message()));
+    net::Json entry = net::Json::object();
+    entry.set("error", std::move(inner));
+    return entry;
+  }
+  net::Json values = net::Json::array();
+  for (const la::CMat& m : response->values) {
+    net::Json value = net::Json::object();
+    value.set("rows", net::Json(static_cast<double>(m.rows())));
+    value.set("cols", net::Json(static_cast<double>(m.cols())));
+    net::Json re = net::Json::array();
+    net::Json im = net::Json::array();
+    for (std::size_t i = 0; i < m.rows(); ++i) {
+      for (std::size_t j = 0; j < m.cols(); ++j) {
+        re.push_back(net::Json(m(i, j).real()));
+        im.push_back(net::Json(m(i, j).imag()));
+      }
+    }
+    value.set("re", std::move(re));
+    value.set("im", std::move(im));
+    values.push_back(std::move(value));
+  }
+  net::Json entry = net::Json::object();
+  entry.set("model", net::Json(response->model));
+  entry.set("version", net::Json(static_cast<double>(response->version)));
+  entry.set("unique_points",
+            net::Json(static_cast<double>(response->unique_points)));
+  entry.set("values", std::move(values));
+  return entry;
+}
+
+/// The whole body the tree encoder produced, trailing newline included.
+std::string tree_body(
+    const std::vector<api::Expected<serving::EvalResponse>>& responses,
+    const net::Json* timings = nullptr) {
+  net::Json list = net::Json::array();
+  for (const auto& response : responses) list.push_back(tree_entry(response));
+  net::Json body = net::Json::object();
+  body.set("responses", std::move(list));
+  if (timings != nullptr) body.set("timings", *timings);
+  return body.dump() + "\n";
+}
+
+std::string request_body(const std::vector<serving::EvalRequest>& items) {
+  net::Json requests = net::Json::array();
+  for (const serving::EvalRequest& eval : items) {
+    net::Json item = net::Json::object();
+    item.set("model", net::Json(eval.model));
+    net::Json list = net::Json::array();
+    for (const double f : eval.freqs_hz) list.push_back(net::Json(f));
+    for (const la::Complex& s : eval.points) {
+      net::Json point = net::Json::array();
+      point.push_back(net::Json(s.real()));
+      point.push_back(net::Json(s.imag()));
+      list.push_back(std::move(point));
+    }
+    item.set(eval.points.empty() ? "freqs_hz" : "points", std::move(list));
+    requests.push_back(std::move(item));
+  }
+  net::Json body = net::Json::object();
+  body.set("requests", std::move(requests));
+  return body.dump();
+}
+
+}  // namespace
+
+TEST(ServingFront, EvalBodyIsByteIdenticalToJsonTree) {
+  using Req = serving::EvalRequest;
+  serving::ModelRegistry registry;
+  registry.publish("pdn14", make_snapshot(20, 14, 31));
+  registry.publish("m2", make_snapshot(12, 2, 32));
+  registry.publish("m2", make_snapshot(12, 2, 33));  // version 2
+  ss::DescriptorSystem broken = make_system(8, 2, 34);
+  broken.d(0, 1) = std::numeric_limits<double>::quiet_NaN();
+  registry.publish("nan", std::make_shared<const api::ModelHandle>(broken));
+  serving::ServingEngine engine(registry);
+  net::ServingFront front(engine, registry, {});
+  ASSERT_TRUE(front.start().is_ok());
+  TestClient client(front.port());
+
+  // Sends `items` over HTTP and checks the body against the tree encoding
+  // of the same engine responses.
+  const auto expect_tree = [&](const std::vector<Req>& items, int status) {
+    auto response = client.request("POST", "/v1/eval", request_body(items));
+    ASSERT_TRUE(response.has_value()) << response.status().to_string();
+    EXPECT_EQ(response->status, status) << response->body;
+    EXPECT_EQ(response->header("content-type"), "application/json");
+    EXPECT_EQ(response->body, tree_body(engine.evaluate(items)));
+  };
+
+  // A single 14-port entry and a single 2-port entry (points spelling,
+  // with a repeated point).
+  expect_tree({Req::at_hz("pdn14", {1e1, 3.3e2, 1.7e4, 99999.5})}, 200);
+  const std::vector<la::Complex> pts{{0.0, 628.0}, {-1.5, 1e4}, {0.0, 628.0}};
+  expect_tree({Req::at("m2", pts)}, 200);
+  // Non-finite values print as null.
+  expect_tree({Req::at_hz("nan", {10.0, 2e3})}, 200);
+  const std::string nan_request = request_body({Req::at_hz("nan", {10.0})});
+  const auto nan_body = client.request("POST", "/v1/eval", nan_request);
+  ASSERT_TRUE(nan_body.has_value());
+  EXPECT_NE(nan_body->body.find("null"), std::string::npos);
+  // A multi-item batch with an inline error entry answers 200; a single
+  // failing item takes its error's status.
+  const std::vector<Req> batch{
+      Req::at_hz("m2", {50.0}),
+      Req::at_hz("ghost", {50.0}),
+      Req::at_hz("pdn14", {1e3, 2e3}),
+  };
+  expect_tree(batch, 200);
+  expect_tree({Req::at_hz("ghost", {50.0})}, 404);
+
+  // An item without a model is answered inline before the engine runs.
+  {
+    const std::string body =
+        R"({"requests":[{"freqs_hz":[1]},{"model":"m2","freqs_hz":[75]}]})";
+    auto response = client.request("POST", "/v1/eval", body);
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->status, 200);
+    std::vector<api::Expected<serving::EvalResponse>> want;
+    want.emplace_back(
+        api::Status::invalid_argument("eval item needs a string 'model'"));
+    want.push_back(engine.evaluate(Req::at_hz("m2", {75.0})));
+    EXPECT_EQ(response->body, tree_body(want));
+  }
+
+  // Traced: the timings block follows the responses. Its spans are timed,
+  // so the oracle takes them from the body itself.
+  {
+    const std::vector<Req> items{Req::at_hz("pdn14", {1e2, 1e3, 1e4})};
+    auto traced = client.request("POST", "/v1/eval", request_body(items),
+                                 {{"X-MFTI-Trace", "1"}});
+    ASSERT_TRUE(traced.has_value());
+    ASSERT_EQ(traced->status, 200) << traced->body;
+    auto parsed = net::parse_json(traced->body);
+    ASSERT_TRUE(parsed.has_value());
+    const net::Json* timings = parsed->find("timings");
+    ASSERT_NE(timings, nullptr);
+    EXPECT_EQ(traced->body, tree_body(engine.evaluate(items), timings));
+  }
 }
