@@ -11,7 +11,7 @@
 #include "api/fit_request.hpp"
 #include "loewner/tangential.hpp"
 #include "statespace/descriptor.hpp"
-#include "vf/vector_fitting.hpp"
+#include "statespace/pole_residue.hpp"
 
 namespace mfti::api {
 
@@ -36,7 +36,7 @@ struct RecursiveDiagnostics {
 struct VectorFittingDiagnostics {
   /// The fitted common-pole rational model (the state-space model in the
   /// report is its block realization).
-  vf::PoleResidueModel pole_residue;
+  ss::PoleResidueModel pole_residue;
   /// Number of poles in the final model.
   std::size_t num_poles = 0;
   /// False when the sigma system was unidentifiable and relocation was

@@ -3,6 +3,7 @@
 #include <exception>
 #include <stdexcept>
 #include <utility>
+#include <variant>
 
 #include "core/mfti.hpp"
 #include "core/recursive_mfti.hpp"
@@ -30,11 +31,15 @@ Status cancelled_status(const FitRequest& req, std::string_view where) {
                            " fit cancelled " + std::string(where));
 }
 
+// One `run` per strategy. Each receives the full request (options, exec,
+// progress, cancellation); the facade has already validated the samples
+// and checked the token, and stamps `seconds` afterwards.
+
 // Algorithm 1 as two checkpointed stages. Same calls, same option
 // propagation and same RNG streams as `core::mfti_fit`, so the model is
 // identical to the legacy entry point.
-Expected<FitReport> run_mfti(const FitRequest& req) {
-  core::MftiOptions opts = std::get<MftiStrategy>(req.strategy).options;
+Expected<FitReport> run(const FitRequest& req, const MftiStrategy& strategy) {
+  core::MftiOptions opts = strategy.options;
   opts.exec = parallel::propagate_exec(opts.exec, req.exec);
 
   report_progress(req, "tangential-data");
@@ -58,9 +63,9 @@ Expected<FitReport> run_mfti(const FitRequest& req) {
   return report;
 }
 
-Expected<FitReport> run_recursive_mfti(const FitRequest& req) {
-  core::RecursiveMftiOptions opts =
-      std::get<RecursiveMftiStrategy>(req.strategy).options;
+Expected<FitReport> run(const FitRequest& req,
+                        const RecursiveMftiStrategy& strategy) {
+  core::RecursiveMftiOptions opts = strategy.options;
   opts.exec = parallel::propagate_exec(opts.exec, req.exec);
   // The request token always stops the fit, alongside any user-set hook.
   opts.should_stop = [token = req.cancel,
@@ -96,8 +101,8 @@ Expected<FitReport> run_recursive_mfti(const FitRequest& req) {
 
 // VFTI as the same two checkpointed stages (it is the t = 1 restriction of
 // MFTI); mirrors `vfti::vfti_fit` call for call.
-Expected<FitReport> run_vfti(const FitRequest& req) {
-  const vfti::VftiOptions opts = std::get<VftiStrategy>(req.strategy).options;
+Expected<FitReport> run(const FitRequest& req, const VftiStrategy& strategy) {
+  const vfti::VftiOptions& opts = strategy.options;
   loewner::TangentialOptions data_opts;
   data_opts.uniform_t = 1;  // the defining restriction of VFTI
   data_opts.directions = opts.directions;
@@ -124,9 +129,9 @@ Expected<FitReport> run_vfti(const FitRequest& req) {
   return report;
 }
 
-Expected<FitReport> run_vector_fitting(const FitRequest& req) {
-  const vf::VectorFittingOptions& opts =
-      std::get<VectorFittingStrategy>(req.strategy).options;
+Expected<FitReport> run(const FitRequest& req,
+                        const VectorFittingStrategy& strategy) {
+  const vf::VectorFittingOptions& opts = strategy.options;
   report_progress(req, "pole-relocation");
   vf::VectorFittingResult result = vf::vector_fit(req.samples, opts);
 
@@ -156,15 +161,6 @@ std::string_view algorithm_name(Algorithm algorithm) {
   return "unknown";
 }
 
-Fitter::Fitter() {
-  registry_[static_cast<std::size_t>(Algorithm::Mfti)] = run_mfti;
-  registry_[static_cast<std::size_t>(Algorithm::RecursiveMfti)] =
-      run_recursive_mfti;
-  registry_[static_cast<std::size_t>(Algorithm::Vfti)] = run_vfti;
-  registry_[static_cast<std::size_t>(Algorithm::VectorFitting)] =
-      run_vector_fitting;
-}
-
 Expected<FitReport> Fitter::fit(const FitRequest& request) const {
   const metrics::Stopwatch stopwatch;
   if (request.cancel.cancelled()) {
@@ -173,15 +169,10 @@ Expected<FitReport> Fitter::fit(const FitRequest& request) const {
   if (request.samples.empty()) {
     return Status::invalid_argument("FitRequest: empty sample set");
   }
-  const StrategyFn& run =
-      registry_[static_cast<std::size_t>(algorithm_of(request.strategy))];
-  if (!run) {
-    return Status::unimplemented(
-        std::string("no strategy registered for ") +
-        std::string(algorithm_name(algorithm_of(request.strategy))));
-  }
   try {
-    Expected<FitReport> report = run(request);
+    Expected<FitReport> report = std::visit(
+        [&request](const auto& strategy) { return run(request, strategy); },
+        request.strategy);
     if (report) {
       report->seconds = stopwatch.seconds();
       report_progress(request, "done", 0,
@@ -203,23 +194,6 @@ Expected<FitReport> Fitter::fit(sampling::SampleSet samples,
   request.samples = std::move(samples);
   request.strategy = std::move(strategy);
   return fit(request);
-}
-
-void Fitter::register_strategy(Algorithm tag, StrategyFn fn) {
-  registry_[static_cast<std::size_t>(tag)] = std::move(fn);
-}
-
-bool Fitter::has_strategy(Algorithm tag) const {
-  return static_cast<bool>(registry_[static_cast<std::size_t>(tag)]);
-}
-
-std::vector<std::string_view> Fitter::strategy_names() const {
-  std::vector<std::string_view> names;
-  for (std::size_t i = 0; i < kNumAlgorithms; ++i) {
-    if (registry_[i])
-      names.push_back(algorithm_name(static_cast<Algorithm>(i)));
-  }
-  return names;
 }
 
 }  // namespace mfti::api

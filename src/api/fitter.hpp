@@ -1,6 +1,6 @@
 /// \file fitter.hpp
 /// \brief The unified entry point: one facade running any of the four
-/// identification algorithms behind a strategy registry.
+/// identification algorithms.
 ///
 /// Where the legacy free functions (`core::mfti_fit`, ...) throw on bad
 /// input and each return their own result struct, `Fitter::fit` validates
@@ -14,17 +14,8 @@
 /// if (!report) { log(report.status().to_string()); return; }
 /// serve(api::ModelHandle(*report));
 /// ```
-///
-/// The registry maps each `Algorithm` tag to the function that runs it;
-/// the built-ins are registered by the constructor and may be swapped or
-/// extended (e.g. with an instrumented wrapper) via `register_strategy`.
 
 #pragma once
-
-#include <array>
-#include <functional>
-#include <string_view>
-#include <vector>
 
 #include "api/fit_report.hpp"
 #include "api/fit_request.hpp"
@@ -36,19 +27,11 @@ namespace mfti::api {
 /// a const `Fitter` are safe to run concurrently.
 class Fitter {
  public:
-  /// Runs one strategy. Receives the full request (options, exec,
-  /// progress, cancellation); the facade has already validated the samples
-  /// and checked the token. `seconds` is stamped by the facade afterwards.
-  using StrategyFn = std::function<Expected<FitReport>(const FitRequest&)>;
-
-  /// Registers the four built-in strategies.
-  Fitter();
-
   /// Run the strategy tagged in `request.strategy` on `request.samples`.
   /// Never throws for anticipated failures: bad input, cancellation,
   /// numerical breakdown and escaped exceptions all come back as a non-ok
-  /// status. The built-in strategies produce models identical to the
-  /// legacy entry points given the same options.
+  /// status. Every strategy produces the model of its legacy entry point
+  /// given the same options.
   Expected<FitReport> fit(const FitRequest& request) const;
 
   /// Convenience: fit `samples` with `strategy` and default policies.
@@ -56,19 +39,6 @@ class Fitter {
   /// data set.
   Expected<FitReport> fit(sampling::SampleSet samples,
                           Strategy strategy = MftiStrategy{}) const;
-
-  /// Replace (or, with `nullptr`, unregister) the implementation behind
-  /// `tag`. Fitting an unregistered strategy reports
-  /// `StatusCode::Unimplemented`.
-  void register_strategy(Algorithm tag, StrategyFn fn);
-
-  bool has_strategy(Algorithm tag) const;
-
-  /// Names of the registered strategies, in `Algorithm` order.
-  std::vector<std::string_view> strategy_names() const;
-
- private:
-  std::array<StrategyFn, kNumAlgorithms> registry_;
 };
 
 }  // namespace mfti::api

@@ -35,7 +35,7 @@ enum class StatusCode {
   NotFound,
   /// The computation broke down numerically (singular pencil, rank 0, ...).
   NumericalError,
-  /// No implementation is registered for the requested strategy.
+  /// No implementation exists for the requested operation.
   Unimplemented,
   /// Unanticipated internal failure (escaped exception).
   Internal,

@@ -9,6 +9,7 @@
 
 #include "sampling/dataset.hpp"
 #include "statespace/descriptor.hpp"
+#include "statespace/pole_residue.hpp"
 
 namespace mfti::metrics {
 
@@ -23,6 +24,10 @@ Real aggregate_error(const std::vector<Real>& per_sample);
 
 /// Convenience: per_sample_errors + aggregate_error in one call.
 Real model_error(const ss::DescriptorSystem& model,
+                 const sampling::SampleSet& data);
+
+/// The same ERR for a pole-residue model, evaluated by its modal sum.
+Real model_error(const ss::PoleResidueModel& model,
                  const sampling::SampleSet& data);
 
 /// Worst per-sample relative error (useful in tests: noise-free recovery

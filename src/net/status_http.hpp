@@ -33,7 +33,7 @@ struct HttpStatus {
 /// | Cancelled       | 408  | the request's deadline expired               |
 /// | NotFound        | 404  | the named model does not exist               |
 /// | NumericalError  | 422  | well-formed request, unevaluable points      |
-/// | Unimplemented   | 501  | no strategy/handler registered               |
+/// | Unimplemented   | 501  | no implementation for the request            |
 /// | Internal        | 500  | escaped exception                            |
 constexpr HttpStatus http_status_for(api::StatusCode code) {
   switch (code) {

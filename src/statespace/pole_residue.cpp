@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "linalg/eig.hpp"
@@ -10,8 +11,66 @@
 
 namespace mfti::ss {
 
-CMat PoleResidueDecomposition::evaluate(Complex s) const {
-  CMat h = d_infinity;
+namespace {
+
+constexpr Real kImagTol = 1e-8;     // |Im p| <= kImagTol |p|: real
+constexpr Real kOriginTol = 1e-12;  // |p| <= kOriginTol max|p|: real
+constexpr Real kMateTol = 1e-3;     // mate b of a: |b - conj a| <= this |a|
+
+}  // namespace
+
+bool is_real_pole(Complex p, Real scale) {
+  const Real mag = std::abs(p);
+  return std::abs(p.imag()) <= kImagTol * mag || mag <= kOriginTol * scale;
+}
+
+std::vector<ConjugateBlock> conjugate_blocks(
+    const std::vector<Complex>& poles) {
+  const std::size_t n = poles.size();
+  Real scale = 0.0;
+  for (const Complex& p : poles) scale = std::max(scale, std::abs(p));
+
+  // Pair every complex pole first, so a mate that rounding pushed under the
+  // real-pole test is still found wherever it is listed.
+  std::vector<std::size_t> mate(n, n);  // n: unpaired
+  for (std::size_t q = 0; q < n; ++q) {
+    if (mate[q] != n || is_real_pole(poles[q], scale)) continue;
+    const Complex target = std::conj(poles[q]);
+    std::size_t best = n;
+    Real best_dist = std::numeric_limits<Real>::infinity();
+    for (std::size_t r = 0; r < n; ++r) {
+      if (r == q || mate[r] != n) continue;
+      const Real dist = std::norm(poles[r] - target);
+      if (dist < best_dist) {
+        best_dist = dist;
+        best = r;
+      }
+    }
+    if (best == n ||
+        std::abs(poles[best] - target) > kMateTol * std::abs(poles[q])) {
+      throw std::invalid_argument(
+          "conjugate_blocks: pole list is not conjugate-closed");
+    }
+    mate[q] = best;
+    mate[best] = q;
+  }
+
+  std::vector<ConjugateBlock> blocks;
+  for (std::size_t q = 0; q < n; ++q) {
+    const std::size_t r = mate[q];
+    if (r == n) {
+      blocks.push_back({q, q});
+    } else if (q < r) {
+      blocks.push_back(poles[q].imag() >= poles[r].imag()
+                           ? ConjugateBlock{q, r}
+                           : ConjugateBlock{r, q});
+    }
+  }
+  return blocks;
+}
+
+CMat PoleResidueModel::evaluate(Complex s) const {
+  CMat h = la::to_complex(d);
   for (std::size_t q = 0; q < poles.size(); ++q) {
     const Complex g = 1.0 / (s - poles[q]);
     for (std::size_t i = 0; i < h.rows(); ++i)
@@ -21,8 +80,58 @@ CMat PoleResidueDecomposition::evaluate(Complex s) const {
   return h;
 }
 
-PoleResidueDecomposition pole_residue_decomposition(
-    const DescriptorSystem& sys, const PoleResidueOptions& opts) {
+DescriptorSystem PoleResidueModel::to_state_space() const {
+  const std::size_t p = num_outputs();
+  const std::size_t m = num_inputs();
+  if (residues.size() != poles.size()) {
+    throw std::invalid_argument("to_state_space: pole/residue count mismatch");
+  }
+  for (const CMat& r : residues) {
+    if (r.rows() != p || r.cols() != m) {
+      throw std::invalid_argument(
+          "to_state_space: residue dimensions must match D");
+    }
+  }
+  const std::size_t n = poles.size() * m;
+  Mat a(n, n);
+  Mat b(n, m);
+  Mat c(p, n);
+  std::size_t off = 0;
+  for (const ConjugateBlock& blk : conjugate_blocks(poles)) {
+    const Complex pole = poles[blk.upper];
+    const CMat& r = residues[blk.upper];
+    if (!blk.is_pair()) {
+      for (std::size_t q = 0; q < m; ++q) {
+        a(off + q, off + q) = pole.real();
+        b(off + q, q) = 1.0;
+        for (std::size_t i = 0; i < p; ++i) c(i, off + q) = r(i, q).real();
+      }
+      off += m;
+      continue;
+    }
+    const Real alpha = pole.real();
+    const Real beta = pole.imag();
+    for (std::size_t q = 0; q < m; ++q) {
+      a(off + q, off + q) = alpha;
+      a(off + q, off + m + q) = beta;
+      a(off + m + q, off + q) = -beta;
+      a(off + m + q, off + m + q) = alpha;
+      b(off + q, q) = 2.0;
+      for (std::size_t i = 0; i < p; ++i) {
+        c(i, off + q) = r(i, q).real();
+        c(i, off + m + q) = r(i, q).imag();
+      }
+    }
+    off += 2 * m;
+  }
+  DescriptorSystem sys{Mat::identity(n), std::move(a), std::move(b),
+                       std::move(c), d};
+  sys.validate();
+  return sys;
+}
+
+PoleResidueModel pole_residue_decomposition(const DescriptorSystem& sys,
+                                            const PoleResidueOptions& opts) {
   sys.validate();
   if (sys.order() == 0) {
     throw std::invalid_argument(
@@ -33,7 +142,7 @@ PoleResidueDecomposition pole_residue_decomposition(
   const CMat b = la::to_complex(sys.b);
   const CMat c = la::to_complex(sys.c);
 
-  PoleResidueDecomposition out;
+  PoleResidueModel out;
   out.poles = la::generalized_eigenvalues(sys.a, sys.e);
 
   Real pole_scale = 0.0;
@@ -61,126 +170,48 @@ PoleResidueDecomposition pole_residue_decomposition(
     r /= denom;
     out.residues.push_back(std::move(r));
   }
+  // A real pole can come back a rounding error off the axis. Put it on the
+  // axis, so that every sub-list (modal_truncation's) still reads it as
+  // real: the origin test depends on the list's largest pole.
+  for (Complex& p : out.poles) {
+    if (is_real_pole(p, pole_scale)) p = Complex(p.real(), 0.0);
+  }
 
-  // Direct term: evaluate far from all dynamics and subtract the modal sum.
+  // Direct term: evaluate far from all dynamics and subtract the modal sum
+  // (what `evaluate` returns while d is zero).
   const Complex s_far(opts.d_term_factor * pole_scale, 0.0);
-  const CMat h_far = transfer_function(sys, s_far);
-  CMat modal(sys.num_outputs(), sys.num_inputs());
-  for (std::size_t q = 0; q < out.poles.size(); ++q) {
-    const Complex g = 1.0 / (s_far - out.poles[q]);
-    for (std::size_t i = 0; i < modal.rows(); ++i)
-      for (std::size_t j = 0; j < modal.cols(); ++j)
-        modal(i, j) += out.residues[q](i, j) * g;
-  }
-  out.d_infinity = h_far - modal;
+  out.d = Mat(sys.num_outputs(), sys.num_inputs());
+  out.d = la::real_part(transfer_function(sys, s_far) - out.evaluate(s_far));
   return out;
-}
-
-DescriptorSystem from_pole_residues(const std::vector<Complex>& poles,
-                                    const std::vector<CMat>& residues,
-                                    const Mat& d) {
-  if (poles.size() != residues.size()) {
-    throw std::invalid_argument(
-        "from_pole_residues: pole/residue count mismatch");
-  }
-  const std::size_t p = d.rows();
-  const std::size_t m = d.cols();
-  for (const CMat& r : residues) {
-    if (r.rows() != p || r.cols() != m) {
-      throw std::invalid_argument(
-          "from_pole_residues: residue dimensions must match D");
-    }
-  }
-  const std::size_t n = poles.size();
-
-  // General residues are full p x m matrices; a faithful real realization
-  // uses one state per pole *per input* (same block form as the vector
-  // fitting realization). Pair up conjugate poles; real poles stand alone.
-  std::vector<bool> used(n, false);
-  std::size_t off = 0;
-  const std::size_t order = n * m;
-  Mat aa(order, order);
-  Mat bb(order, m);
-  Mat cc(p, order);
-  off = 0;
-  for (std::size_t q = 0; q < n; ++q) {
-    if (used[q]) continue;
-    const Complex pole = poles[q];
-    const bool is_real =
-        std::abs(pole.imag()) <= 1e-10 * (std::abs(pole) + 1e-300);
-    if (is_real) {
-      used[q] = true;
-      for (std::size_t col = 0; col < m; ++col) {
-        aa(off + col, off + col) = pole.real();
-        bb(off + col, col) = 1.0;
-        for (std::size_t i = 0; i < p; ++i)
-          cc(i, off + col) = residues[q](i, col).real();
-      }
-      off += m;
-      continue;
-    }
-    // Find the conjugate mate.
-    std::size_t mate = n;
-    for (std::size_t r = q + 1; r < n; ++r) {
-      if (!used[r] &&
-          std::abs(poles[r] - std::conj(pole)) <= 1e-6 * std::abs(pole)) {
-        mate = r;
-        break;
-      }
-    }
-    if (mate == n) {
-      throw std::invalid_argument(
-          "from_pole_residues: pole set is not conjugate-closed");
-    }
-    used[q] = used[mate] = true;
-    const Real alpha = pole.real();
-    const Real beta = std::abs(pole.imag());
-    // Use the +Im member's residue for the (Re, Im) split.
-    const CMat& r_pos = pole.imag() > 0 ? residues[q] : residues[mate];
-    for (std::size_t col = 0; col < m; ++col) {
-      aa(off + col, off + col) = alpha;
-      aa(off + col, off + m + col) = beta;
-      aa(off + m + col, off + col) = -beta;
-      aa(off + m + col, off + m + col) = alpha;
-      bb(off + col, col) = 2.0;
-      for (std::size_t i = 0; i < p; ++i) {
-        cc(i, off + col) = r_pos(i, col).real();
-        cc(i, off + m + col) = r_pos(i, col).imag();
-      }
-    }
-    off += 2 * m;
-  }
-
-  DescriptorSystem sys{Mat::identity(off),
-                       aa.block(0, 0, off, off),
-                       bb.block(0, 0, off, m),
-                       cc.block(0, 0, p, off),
-                       d};
-  sys.validate();
-  return sys;
 }
 
 DescriptorSystem modal_truncation(const DescriptorSystem& sys, Real rel_tol,
                                   const PoleResidueOptions& opts) {
-  const PoleResidueDecomposition pr = pole_residue_decomposition(sys, opts);
+  const PoleResidueModel full = pole_residue_decomposition(sys, opts);
+  const std::vector<ConjugateBlock> blocks = conjugate_blocks(full.poles);
   // Peak contribution of a mode near its resonance: ||R|| / |Re p|.
-  std::vector<Real> weight(pr.poles.size());
+  std::vector<Real> weight(blocks.size());
   Real w_max = 0.0;
-  for (std::size_t q = 0; q < pr.poles.size(); ++q) {
-    const Real damp = std::max(std::abs(pr.poles[q].real()), 1e-300);
-    weight[q] = la::two_norm(pr.residues[q]) / damp;
-    w_max = std::max(w_max, weight[q]);
+  for (std::size_t k = 0; k < blocks.size(); ++k) {
+    const std::size_t q = blocks[k].upper;
+    const Real damp = std::max(std::abs(full.poles[q].real()), 1e-300);
+    weight[k] = la::two_norm(full.residues[q]) / damp;
+    w_max = std::max(w_max, weight[k]);
   }
-  std::vector<Complex> kept_poles;
-  std::vector<CMat> kept_residues;
-  for (std::size_t q = 0; q < pr.poles.size(); ++q) {
-    if (weight[q] >= rel_tol * w_max) {
-      kept_poles.push_back(pr.poles[q]);
-      kept_residues.push_back(pr.residues[q]);
-    }
+  // An integrator (Re p = 0) weighs infinity, and 0 * inf is NaN: test
+  // rel_tol itself so that 0 keeps every mode.
+  const Real cut = rel_tol > 0.0 ? rel_tol * w_max : 0.0;
+  PoleResidueModel kept{{}, {}, full.d};
+  const auto keep = [&](std::size_t q) {
+    kept.poles.push_back(full.poles[q]);
+    kept.residues.push_back(full.residues[q]);
+  };
+  for (std::size_t k = 0; k < blocks.size(); ++k) {
+    if (weight[k] < cut) continue;
+    keep(blocks[k].upper);
+    if (blocks[k].is_pair()) keep(blocks[k].lower);
   }
-  return from_pole_residues(kept_poles, kept_residues,
-                            la::real_part(pr.d_infinity));
+  return kept.to_state_space();
 }
 
 }  // namespace mfti::ss

@@ -8,64 +8,59 @@
 
 #include "linalg/eig.hpp"
 #include "linalg/lstsq.hpp"
-#include "linalg/norms.hpp"
 #include "linalg/qr.hpp"
 
 namespace mfti::vf {
 
 namespace {
 
-constexpr Real kImagTol = 1e-8;  // relative: |Im p| below this means "real"
-
-bool is_real_pole(const Complex& p) {
-  return std::abs(p.imag()) <= kImagTol * (std::abs(p) + 1e-300);
-}
-
-// Walk the conjugate-closed pole list as blocks: returns indices of block
-// starts; a block is either one real pole or a (a, conj a) pair.
-std::vector<std::size_t> block_starts(const std::vector<Complex>& poles) {
-  std::vector<std::size_t> starts;
-  std::size_t q = 0;
-  while (q < poles.size()) {
-    starts.push_back(q);
-    if (is_real_pole(poles[q])) {
-      ++q;
-    } else {
-      if (q + 1 >= poles.size() ||
-          std::abs(poles[q + 1] - std::conj(poles[q])) >
-              1e-6 * std::abs(poles[q])) {
-        throw std::logic_error(
-            "vector_fit: pole list is not conjugate-closed");
-      }
-      q += 2;
-    }
-  }
-  return starts;
-}
-
-// Complex partial-fraction basis in the *real-coefficient* convention:
-// column q for a real pole is 1/(s-a); a conjugate pair contributes
-// phi1 = 1/(s-a) + 1/(s-conj a) and phi2 = j/(s-a) - j/(s-conj a).
+// Partial-fraction basis in the *real-coefficient* convention: column q
+// for a real pole is 1/(s-a); a conjugate pair puts
+// phi1 = 1/(s-a) + 1/(s-conj a) in its +Im member's column and
+// phi2 = j/(s-a) - j/(s-conj a) in its mate's.
 CMat complex_basis(const std::vector<Complex>& poles,
+                   const std::vector<ss::ConjugateBlock>& blocks,
                    const std::vector<Complex>& s_points) {
-  const std::size_t k = s_points.size();
-  const std::size_t n = poles.size();
-  CMat phi(k, n);
-  const std::vector<std::size_t> starts = block_starts(poles);
-  for (std::size_t row = 0; row < k; ++row) {
+  CMat phi(s_points.size(), poles.size());
+  for (std::size_t row = 0; row < s_points.size(); ++row) {
     const Complex s = s_points[row];
-    for (std::size_t b : starts) {
-      if (is_real_pole(poles[b])) {
-        phi(row, b) = 1.0 / (s - poles[b]);
-      } else {
-        const Complex f1 = 1.0 / (s - poles[b]);
-        const Complex f2 = 1.0 / (s - std::conj(poles[b]));
-        phi(row, b) = f1 + f2;
-        phi(row, b + 1) = Complex(0.0, 1.0) * (f1 - f2);
+    for (const ss::ConjugateBlock& b : blocks) {
+      const Complex f1 = 1.0 / (s - poles[b.upper]);
+      if (!b.is_pair()) {
+        phi(row, b.upper) = f1;
+        continue;
       }
+      const Complex f2 = 1.0 / (s - std::conj(poles[b.upper]));
+      phi(row, b.upper) = f1 + f2;
+      phi(row, b.lower) = Complex(0.0, 1.0) * (f1 - f2);
     }
   }
   return phi;
+}
+
+// Residue matrices from real coefficients of the complex_basis columns:
+// entry (i, j) reads column i * m + j of `coeffs`, and a pair's residue at
+// its +Im member is (phi1 coefficient) + j (phi2 coefficient).
+std::vector<CMat> unpack_residues(std::size_t num_poles,
+                                  const std::vector<ss::ConjugateBlock>& blocks,
+                                  const Mat& coeffs, std::size_t p,
+                                  std::size_t m) {
+  std::vector<CMat> residues(num_poles, CMat(p, m));
+  for (std::size_t i = 0; i < p; ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      const std::size_t col = i * m + j;
+      for (const ss::ConjugateBlock& b : blocks) {
+        if (!b.is_pair()) {
+          residues[b.upper](i, j) = coeffs(b.upper, col);
+          continue;
+        }
+        const Complex r(coeffs(b.upper, col), coeffs(b.lower, col));
+        residues[b.upper](i, j) = r;
+        residues[b.lower](i, j) = std::conj(r);
+      }
+    }
+  }
+  return residues;
 }
 
 // Stack Re over Im: a k x n complex matrix becomes 2k x n real.
@@ -80,38 +75,18 @@ Mat realify(const CMat& a) {
   return out;
 }
 
-// Real block companion pieces of sigma: A (n x n), b (n x 1).
-void sigma_companion(const std::vector<Complex>& poles, Mat& a, Mat& b) {
-  const std::size_t n = poles.size();
-  a = Mat(n, n);
-  b = Mat(n, 1);
-  for (std::size_t s : block_starts(poles)) {
-    if (is_real_pole(poles[s])) {
-      a(s, s) = poles[s].real();
-      b(s, 0) = 1.0;
-    } else {
-      const Real alpha = poles[s].real();
-      const Real beta = std::abs(poles[s].imag());
-      a(s, s) = alpha;
-      a(s, s + 1) = beta;
-      a(s + 1, s) = -beta;
-      a(s + 1, s + 1) = alpha;
-      b(s, 0) = 2.0;
-      b(s + 1, 0) = 0.0;
-    }
-  }
-}
-
 // Turn raw relocated eigenvalues into a clean conjugate-closed, stable,
 // deterministic pole list.
 std::vector<Complex> sanitize_poles(std::vector<Complex> raw, bool flip) {
+  Real scale = 0.0;
+  for (const Complex& e : raw) scale = std::max(scale, std::abs(e));
   std::vector<Complex> blocks;  // real poles and +Im pair representatives
   std::vector<bool> pair_flag;
   std::vector<Complex> pending = std::move(raw);
   while (!pending.empty()) {
     Complex e = pending.back();
     pending.pop_back();
-    if (is_real_pole(e)) {
+    if (ss::is_real_pole(e, scale)) {
       blocks.push_back(Complex(e.real(), 0.0));
       pair_flag.push_back(false);
       continue;
@@ -193,67 +168,6 @@ std::vector<Complex> initial_poles(const std::vector<Real>& freqs,
 
 }  // namespace
 
-CMat PoleResidueModel::evaluate(Complex s) const {
-  CMat h = la::to_complex(d);
-  for (std::size_t q = 0; q < poles.size(); ++q) {
-    const Complex g = 1.0 / (s - poles[q]);
-    for (std::size_t i = 0; i < h.rows(); ++i)
-      for (std::size_t j = 0; j < h.cols(); ++j)
-        h(i, j) += residues[q](i, j) * g;
-  }
-  return h;
-}
-
-std::vector<CMat> PoleResidueModel::frequency_response(
-    const std::vector<Real>& freqs) const {
-  std::vector<CMat> out;
-  out.reserve(freqs.size());
-  for (Real f : freqs) {
-    out.push_back(evaluate(Complex(0.0, 2.0 * std::numbers::pi * f)));
-  }
-  return out;
-}
-
-ss::DescriptorSystem PoleResidueModel::to_state_space() const {
-  const std::size_t m = num_inputs();
-  const std::size_t p = num_outputs();
-  const std::size_t n = poles.size() * m;
-  Mat a(n, n);
-  Mat b(n, m);
-  Mat c(p, n);
-  std::size_t off = 0;
-  for (std::size_t s : block_starts(poles)) {
-    if (is_real_pole(poles[s])) {
-      for (std::size_t q = 0; q < m; ++q) {
-        a(off + q, off + q) = poles[s].real();
-        b(off + q, q) = 1.0;
-        for (std::size_t i = 0; i < p; ++i)
-          c(i, off + q) = residues[s](i, q).real();
-      }
-      off += m;
-    } else {
-      const Real alpha = poles[s].real();
-      const Real beta = std::abs(poles[s].imag());
-      for (std::size_t q = 0; q < m; ++q) {
-        a(off + q, off + q) = alpha;
-        a(off + q, off + m + q) = beta;
-        a(off + m + q, off + q) = -beta;
-        a(off + m + q, off + m + q) = alpha;
-        b(off + q, q) = 2.0;
-        for (std::size_t i = 0; i < p; ++i) {
-          c(i, off + q) = residues[s](i, q).real();
-          c(i, off + m + q) = residues[s](i, q).imag();
-        }
-      }
-      off += 2 * m;
-    }
-  }
-  ss::DescriptorSystem sys{Mat::identity(n), std::move(a), std::move(b),
-                           std::move(c), d};
-  sys.validate();
-  return sys;
-}
-
 VectorFittingResult vector_fit(const sampling::SampleSet& data,
                                const VectorFittingOptions& opts) {
   if (data.size() < 2) {
@@ -287,7 +201,9 @@ VectorFittingResult vector_fit(const sampling::SampleSet& data,
     // in relaxed mode (sigma = dtilde + sum c~ phi instead of 1 + ...).
     const std::size_t nc = opts.relaxed ? n + 1 : n;
     for (std::size_t iter = 0; iter < opts.iterations; ++iter) {
-      const CMat phi_c = complex_basis(poles, s_points);
+      const std::vector<ss::ConjugateBlock> blocks =
+          ss::conjugate_blocks(poles);
+      const CMat phi_c = complex_basis(poles, blocks, s_points);
       // Shared numerator basis [phi, 1]; the sigma unknowns live in the
       // orthogonal complement of its column span (fast-VF compression:
       // eliminating the per-entry numerators exactly).
@@ -371,8 +287,9 @@ VectorFittingResult vector_fit(const sampling::SampleSet& data,
       const Mat rho = rfac.block(0, nc, r1.rows(), 1);
       const Mat ctilde = la::lstsq_svd(r1, rho, 1e-10);
 
-      // Relocate: new poles are the zeros of sigma = eigenvalues of
-      // (A_sigma - b_sigma ctilde^T / dtilde); dtilde = 1 when non-relaxed.
+      // Relocate: the new poles are the zeros of
+      // sigma = dtilde + ctilde^T phi, the eigenvalues of A - B C / dtilde
+      // of sigma's realization; dtilde = 1 when non-relaxed.
       Real dtilde = 1.0;
       if (opts.relaxed) {
         dtilde = ctilde(n, 0);
@@ -382,19 +299,21 @@ VectorFittingResult vector_fit(const sampling::SampleSet& data,
           dtilde = dtilde >= 0.0 ? floor : -floor;
         }
       }
-      Mat a_s, b_s;
-      sigma_companion(poles, a_s, b_s);
-      Mat relocated = a_s;
+      const ss::PoleResidueModel sigma{
+          poles, unpack_residues(n, blocks, ctilde, 1, 1), Mat{{dtilde}}};
+      const ss::DescriptorSystem sig = sigma.to_state_space();
+      Mat relocated = sig.a;
       for (std::size_t r = 0; r < n; ++r)
         for (std::size_t cdx = 0; cdx < n; ++cdx)
-          relocated(r, cdx) -= b_s(r, 0) * ctilde(cdx, 0) / dtilde;
+          relocated(r, cdx) -= sig.b(r, 0) * sig.c(0, cdx) / dtilde;
       poles = sanitize_poles(la::eigenvalues(relocated),
                              opts.enforce_stability);
     }
   }
 
   // Final residue fit with the (possibly relocated) poles fixed.
-  const CMat phi_c = complex_basis(poles, s_points);
+  const std::vector<ss::ConjugateBlock> blocks = ss::conjugate_blocks(poles);
+  const CMat phi_c = complex_basis(poles, blocks, s_points);
   const std::size_t nn = poles.size();
   CMat a1_c(k, nn + 1);
   a1_c.set_block(0, 0, phi_c);
@@ -427,26 +346,10 @@ VectorFittingResult vector_fit(const sampling::SampleSet& data,
     }
   }
 
-  // Unpack the real coefficients into residue matrices.
-  PoleResidueModel model;
-  model.poles = poles;
-  model.residues.assign(nn, CMat(p, m));
-  model.d = Mat(p, m);
-  for (std::size_t i = 0; i < p; ++i) {
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::size_t col = i * m + j;
-      for (std::size_t s : block_starts(poles)) {
-        if (is_real_pole(poles[s])) {
-          model.residues[s](i, j) = coeffs(s, col);
-        } else {
-          const Complex r(coeffs(s, col), coeffs(s + 1, col));
-          model.residues[s](i, j) = r;
-          model.residues[s + 1](i, j) = std::conj(r);
-        }
-      }
-      model.d(i, j) = coeffs(nn, col);
-    }
-  }
+  ss::PoleResidueModel model{poles, unpack_residues(nn, blocks, coeffs, p, m),
+                             Mat(p, m)};
+  for (std::size_t i = 0; i < p; ++i)
+    for (std::size_t j = 0; j < m; ++j) model.d(i, j) = coeffs(nn, i * m + j);
 
   // RMS fit error of the final model.
   Real acc = 0.0;
@@ -460,23 +363,6 @@ VectorFittingResult vector_fit(const sampling::SampleSet& data,
   res.order = nn;
   res.model = std::move(model);
   return res;
-}
-
-Real model_error(const PoleResidueModel& model,
-                 const sampling::SampleSet& data) {
-  if (data.empty()) {
-    throw std::invalid_argument("model_error: empty data");
-  }
-  Real acc = 0.0;
-  for (const auto& smp : data) {
-    const CMat h =
-        model.evaluate(Complex(0.0, 2.0 * std::numbers::pi * smp.f_hz));
-    const Real denom = la::two_norm(smp.s);
-    const Real num = la::two_norm(h - smp.s);
-    const Real e = denom > 0.0 ? num / denom : num;
-    acc += e * e;
-  }
-  return std::sqrt(acc / static_cast<Real>(data.size()));
 }
 
 }  // namespace mfti::vf

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "sampling/dataset.hpp"
-#include "statespace/descriptor.hpp"
+#include "statespace/pole_residue.hpp"
 
 namespace mfti::vf {
 
@@ -25,31 +25,6 @@ using la::CMat;
 using la::Complex;
 using la::Mat;
 using la::Real;
-
-/// Rational matrix model with common poles:
-/// `H(s) = D + sum_q R_q / (s - a_q)`.
-/// Poles are conjugate-closed; complex pairs are stored adjacently with the
-/// positive-imaginary member first, and its partner's residue is implied
-/// (`conj(R_q)`), so `residues.size() == poles.size()` with the mate's
-/// entry present for uniform indexing.
-struct PoleResidueModel {
-  std::vector<Complex> poles;
-  std::vector<CMat> residues;  ///< one p x m residue matrix per pole
-  Mat d;                       ///< p x m real feedthrough
-
-  std::size_t num_poles() const { return poles.size(); }
-  std::size_t num_outputs() const { return d.rows(); }
-  std::size_t num_inputs() const { return d.cols(); }
-
-  /// Evaluate `H(s)` at one point.
-  CMat evaluate(Complex s) const;
-
-  /// Evaluate `H(j 2 pi f)` over a grid.
-  std::vector<CMat> frequency_response(const std::vector<Real>& freqs) const;
-
-  /// Real block state-space realization (order = num_poles * num_inputs).
-  ss::DescriptorSystem to_state_space() const;
-};
 
 /// Options for vector_fit.
 struct VectorFittingOptions {
@@ -69,7 +44,8 @@ struct VectorFittingOptions {
 
 /// Result of a vector-fitting run.
 struct VectorFittingResult {
-  PoleResidueModel model;
+  /// Conjugate-closed; each pair is listed adjacently, +Im member first.
+  ss::PoleResidueModel model;
   /// Number of poles in the final model (can differ from the request when
   /// degenerate complex pairs collapse to real poles).
   std::size_t order = 0;
@@ -89,10 +65,5 @@ struct VectorFittingResult {
 /// iterations with no residue fit possible.
 VectorFittingResult vector_fit(const sampling::SampleSet& data,
                                const VectorFittingOptions& opts = {});
-
-/// The paper's ERR metric for pole-residue models (same formula as
-/// metrics::model_error).
-Real model_error(const PoleResidueModel& model,
-                 const sampling::SampleSet& data);
 
 }  // namespace mfti::vf

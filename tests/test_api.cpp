@@ -340,35 +340,6 @@ TEST(Fitter, ProgressStagesInOrder) {
                                               "realization", "done"}));
 }
 
-// --- Fitter: registry --------------------------------------------------------
-
-TEST(Fitter, RegistryListsBuiltinsAndSupportsUnregister) {
-  api::Fitter fitter;
-  EXPECT_EQ(fitter.strategy_names().size(), api::kNumAlgorithms);
-  EXPECT_TRUE(fitter.has_strategy(api::Algorithm::VectorFitting));
-
-  fitter.register_strategy(api::Algorithm::VectorFitting, nullptr);
-  EXPECT_FALSE(fitter.has_strategy(api::Algorithm::VectorFitting));
-  const auto report =
-      fitter.fit(make_samples(8, 2, 12, 111), api::VectorFittingStrategy{});
-  ASSERT_FALSE(report);
-  EXPECT_EQ(report.status().code(), api::StatusCode::Unimplemented);
-}
-
-TEST(Fitter, RegisteredStrategyOverridesBuiltin) {
-  api::Fitter fitter;
-  fitter.register_strategy(
-      api::Algorithm::Mfti,
-      [](const api::FitRequest&) -> api::Expected<api::FitReport> {
-        api::FitReport report;
-        report.order = 123;
-        return report;
-      });
-  const auto report = fitter.fit(make_samples(8, 2, 12, 112));
-  ASSERT_TRUE(report);
-  EXPECT_EQ(report->order, 123u);
-}
-
 // --- ModelHandle -------------------------------------------------------------
 
 // Served values against the dense-LU reference, on the first (evaluator

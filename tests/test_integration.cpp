@@ -90,9 +90,9 @@ TEST(Integration, MftiModelResiduesMatchTruth) {
       sp::sample_system(truth, sp::log_grid(10.0, 1e5, 8));
   const api::FitReport fit = fit_ok(data);
 
-  const ss::PoleResidueDecomposition pr_true =
+  const ss::PoleResidueModel pr_true =
       ss::pole_residue_decomposition(truth);
-  const ss::PoleResidueDecomposition pr_model =
+  const ss::PoleResidueModel pr_model =
       ss::pole_residue_decomposition(fit.model);
   for (std::size_t q = 0; q < pr_true.poles.size(); ++q) {
     // Match by pole location.
@@ -233,9 +233,8 @@ TEST(Integration, AllThreeMethodsOnAmpleCleanData) {
   vf_opts.iterations = 12;
   const auto vf_report = fit_ok(data, api::VectorFittingStrategy{vf_opts});
   ASSERT_TRUE(vf_report.vector_fitting.has_value());
-  EXPECT_LT(mfti::vf::model_error(vf_report.vector_fitting->pole_residue,
-                                  data),
-            1e-5);
+  const auto& vf_model = vf_report.vector_fitting->pole_residue;
+  EXPECT_LT(mfti::metrics::model_error(vf_model, data), 1e-5);
 }
 
 TEST(Integration, SkinEffectDataFitsToApproximationFloor) {

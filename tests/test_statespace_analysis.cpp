@@ -4,11 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <utility>
 
 #include "linalg/eig.hpp"
 #include "linalg/norms.hpp"
+#include "netgen/rlc.hpp"
+#include "sampling/grid.hpp"
 #include "statespace/passivity.hpp"
 #include "statespace/pole_residue.hpp"
 #include "statespace/random_system.hpp"
@@ -82,7 +86,7 @@ TEST_P(PoleResidueProperty, ModalFormMatchesTransferFunction) {
   opts.num_inputs = 2;
   opts.rank_d = 2;
   const ss::DescriptorSystem sys = ss::random_stable_mimo(opts, rng);
-  const ss::PoleResidueDecomposition pr = ss::pole_residue_decomposition(sys);
+  const ss::PoleResidueModel pr = ss::pole_residue_decomposition(sys);
   EXPECT_EQ(pr.poles.size(), sys.order());
   for (double f : {20.0, 500.0, 4e4}) {
     const Complex s(0.0, 2.0 * std::numbers::pi * f);
@@ -100,7 +104,7 @@ TEST_P(PoleResidueProperty, ResiduesAreConjugateClosed) {
   opts.num_outputs = 2;
   opts.num_inputs = 2;
   const ss::DescriptorSystem sys = ss::random_stable_mimo(opts, rng);
-  const ss::PoleResidueDecomposition pr = ss::pole_residue_decomposition(sys);
+  const ss::PoleResidueModel pr = ss::pole_residue_decomposition(sys);
   // For every pole, conj(pole) appears too, with conjugated residue.
   for (std::size_t q = 0; q < pr.poles.size(); ++q) {
     if (std::abs(pr.poles[q].imag()) < 1e-8 * std::abs(pr.poles[q])) continue;
@@ -128,9 +132,8 @@ TEST(PoleResidue, DTermRecovered) {
   opts.num_inputs = 2;
   opts.rank_d = 2;
   const ss::DescriptorSystem sys = ss::random_stable_mimo(opts, rng);
-  const ss::PoleResidueDecomposition pr = ss::pole_residue_decomposition(sys);
-  EXPECT_TRUE(la::approx_equal(la::real_part(pr.d_infinity), sys.d, 1e-5,
-                               1e-7));
+  const ss::PoleResidueModel pr = ss::pole_residue_decomposition(sys);
+  EXPECT_TRUE(la::approx_equal(pr.d, sys.d, 1e-5, 1e-7));
 }
 
 TEST(PoleResidue, RejectsEmptySystem) {
@@ -149,9 +152,8 @@ TEST(ModalReconstruction, RoundTripPreservesTransferFunction) {
   opts.num_inputs = 3;
   opts.rank_d = 2;
   const ss::DescriptorSystem sys = ss::random_stable_mimo(opts, rng);
-  const ss::PoleResidueDecomposition pr = ss::pole_residue_decomposition(sys);
-  const ss::DescriptorSystem rebuilt = ss::from_pole_residues(
-      pr.poles, pr.residues, la::real_part(pr.d_infinity));
+  const ss::PoleResidueModel pr = ss::pole_residue_decomposition(sys);
+  const ss::DescriptorSystem rebuilt = pr.to_state_space();
   for (double f : {15.0, 300.0, 2e4}) {
     const Complex s(0.0, 2.0 * std::numbers::pi * f);
     EXPECT_TRUE(la::approx_equal(ss::transfer_function(rebuilt, s),
@@ -160,17 +162,157 @@ TEST(ModalReconstruction, RoundTripPreservesTransferFunction) {
 }
 
 TEST(ModalReconstruction, RejectsInconsistentInput) {
-  EXPECT_THROW(
-      ss::from_pole_residues({Complex(-1, 0)}, {}, Mat(1, 1)),
-      std::invalid_argument);
-  EXPECT_THROW(ss::from_pole_residues({Complex(-1, 0)}, {CMat(2, 2)},
-                                      Mat(1, 1)),
+  const auto realize = [](std::vector<Complex> poles,
+                          std::vector<CMat> residues, Mat d) {
+    ss::PoleResidueModel model;
+    model.poles = std::move(poles);
+    model.residues = std::move(residues);
+    model.d = std::move(d);
+    return model.to_state_space();
+  };
+  EXPECT_THROW(realize({Complex(-1, 0)}, {}, Mat(1, 1)),
+               std::invalid_argument);
+  EXPECT_THROW(realize({Complex(-1, 0)}, {CMat(2, 2)}, Mat(1, 1)),
                std::invalid_argument);
   // Complex pole without a conjugate mate.
-  EXPECT_THROW(ss::from_pole_residues({Complex(-1, 5)}, {CMat(1, 1)},
-                                      Mat(1, 1)),
+  EXPECT_THROW(realize({Complex(-1, 5)}, {CMat(1, 1)}, Mat(1, 1)),
                std::invalid_argument);
 }
+
+// The layout vector fitting's bitwise-reproducible realizations rest on:
+// blocks in list order, one state per pole per input, a pair as
+// [α I, β I; -β I, α I] with B = [2 I; 0] and C = [Re R, Im R] of its +Im
+// member, whichever member is listed first.
+TEST(ModalReconstruction, BlockLayoutIsFixed) {
+  // A real pole -3 and the pair -1 ± 2j on two inputs and two outputs, and
+  // the realization, written out row by row.
+  // clang-format off
+  const CMat r_a{{Complex(1, 5), Complex(2, 6)},
+                 {Complex(3, 7), Complex(4, 8)}};
+  const Mat d{{0.5, 0.0},
+              {0.0, 0.25}};
+  const Mat a_expected{{-3,  0,  0,  0,  0,  0},
+                       { 0, -3,  0,  0,  0,  0},
+                       { 0,  0, -1,  0,  2,  0},
+                       { 0,  0,  0, -1,  0,  2},
+                       { 0,  0, -2,  0, -1,  0},
+                       { 0,  0,  0, -2,  0, -1}};
+  const Mat b_expected{{1, 0},
+                       {0, 1},
+                       {2, 0},
+                       {0, 2},
+                       {0, 0},
+                       {0, 0}};
+  const Mat c_expected{{1, 2, 1, 2, 5, 6},
+                       {3, 4, 3, 4, 7, 8}};
+  const ss::DescriptorSystem expected{Mat::identity(6), a_expected,
+                                      b_expected, c_expected, d};
+  // clang-format on
+  const Complex a(-1.0, 2.0);
+  ss::PoleResidueModel model;
+  model.poles = {Complex(-3.0, 0.0), a, std::conj(a)};
+  model.residues = {la::to_complex(Mat{{1, 2}, {3, 4}}), r_a, r_a.conjugate()};
+  model.d = d;
+  ss::PoleResidueModel mate_first = model;
+  std::swap(mate_first.poles[1], mate_first.poles[2]);
+  std::swap(mate_first.residues[1], mate_first.residues[2]);
+  EXPECT_TRUE(model.to_state_space() == expected);
+  EXPECT_TRUE(mate_first.to_state_space() == expected);
+}
+
+TEST(ModalReconstruction, ListOrderDoesNotChangeTheResponse) {
+  la::Rng rng(59);
+  const Complex a(-100.0, 2.0 * std::numbers::pi * 1e3);
+  const Complex b(-2000.0, 2.0 * std::numbers::pi * 2e4);
+  const Complex r(-500.0, 0.0);
+  const CMat r_a = la::random_complex_matrix(2, 3, rng);
+  const CMat r_b = la::random_complex_matrix(2, 3, rng);
+  const CMat r_r = la::to_complex(la::random_matrix(2, 3, rng));
+  const Mat d = la::random_matrix(2, 3, rng);
+  ss::PoleResidueModel canonical;
+  canonical.poles = {a, std::conj(a), b, std::conj(b), r};
+  canonical.residues = {r_a, r_a.conjugate(), r_b, r_b.conjugate(), r_r};
+  canonical.d = d;
+  // -Im members first, pairs split by a real pole and by each other.
+  ss::PoleResidueModel shuffled;
+  shuffled.poles = {std::conj(b), r, std::conj(a), b, a};
+  shuffled.residues = {r_b.conjugate(), r_r, r_a.conjugate(), r_b, r_a};
+  shuffled.d = d;
+  const ss::DescriptorSystem x = canonical.to_state_space();
+  const ss::DescriptorSystem y = shuffled.to_state_space();
+  EXPECT_EQ(y.order(), x.order());
+  for (double f : {30.0, 1e3, 2e4, 1e5}) {
+    const Complex s(0.0, 2.0 * std::numbers::pi * f);
+    const CMat hx = ss::transfer_function(x, s);
+    const double gap = la::two_norm(ss::transfer_function(y, s) - hx);
+    EXPECT_LE(gap, 1e-12 * la::two_norm(hx)) << "f=" << f;
+    EXPECT_TRUE(la::approx_equal(hx, canonical.evaluate(s), 1e-10, 1e-12));
+  }
+}
+
+TEST(ConjugateBlocks, OriginPoleIsRealAndMateMayDriftByRounding) {
+  // The shapes shift-invert returns for an RLC ladder: a pole at the
+  // origin with a rounding-sized imaginary part, and a pair whose members
+  // are conjugates only to 1.3e-6 relative.
+  const Complex p(-1e7, 3.7e10);
+  const Complex drifted = std::conj(p) * Complex(1.0 + 1.3e-6, 0.0);
+  const std::vector<ss::ConjugateBlock> blocks =
+      ss::conjugate_blocks({drifted, Complex(5.6e-17, 2.8e-17), p});
+  ASSERT_EQ(blocks.size(), 2u);
+  EXPECT_EQ(blocks[0].upper, 2u);
+  EXPECT_EQ(blocks[0].lower, 0u);
+  EXPECT_EQ(blocks[1].upper, 1u);
+  EXPECT_FALSE(blocks[1].is_pair());
+  // Beyond 1e-3 |p| the mate is rejected.
+  EXPECT_THROW(ss::conjugate_blocks({p, std::conj(p) * Complex(1.01, 0.0)}),
+               std::invalid_argument);
+}
+
+// Modal form of RLC ladders like perfbench's `ic*` interconnects (2-port,
+// all poles finite, one at the origin): the realization keeps every pole,
+// one state per pole per input, and reproduces the transfer function over
+// 10 MHz - 20 GHz.
+class LadderModalForm : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  static double worst_relative_gap(const ss::DescriptorSystem& model,
+                                   const ss::DescriptorSystem& truth) {
+    double worst = 0.0;
+    for (double f : mfti::sampling::log_grid(1e7, 2e10, 41)) {
+      const Complex s(0.0, 2.0 * std::numbers::pi * f);
+      const CMat h = ss::transfer_function(truth, s);
+      const CMat gap = ss::transfer_function(model, s) - h;
+      worst = std::max(worst, la::two_norm(gap) / la::two_norm(h));
+    }
+    return worst;
+  }
+};
+
+TEST_P(LadderModalForm, RealizationKeepsEveryPole) {
+  const ss::DescriptorSystem sys = mfti::netgen::rlc_ladder(GetParam());
+  const ss::DescriptorSystem rebuilt =
+      ss::pole_residue_decomposition(sys).to_state_space();
+  EXPECT_EQ(rebuilt.order(), 2 * sys.order());
+  EXPECT_LT(worst_relative_gap(rebuilt, sys), 1e-3);
+}
+
+TEST_P(LadderModalForm, ZeroToleranceTruncationKeepsEveryPole) {
+  const ss::DescriptorSystem sys = mfti::netgen::rlc_ladder(GetParam());
+  const ss::DescriptorSystem same = ss::modal_truncation(sys, 0.0);
+  EXPECT_EQ(same.order(), 2 * sys.order());
+  EXPECT_LT(worst_relative_gap(same, sys), 1e-3);
+}
+
+TEST_P(LadderModalForm, EveryTruncationRealizes) {
+  // The origin pole reads as real only next to the list's largest pole; a
+  // kept sub-list without the large poles must still realize.
+  const ss::DescriptorSystem sys = mfti::netgen::rlc_ladder(GetParam());
+  for (double tol : {1e-12, 1e-8, 1e-4}) {
+    EXPECT_NO_THROW(ss::modal_truncation(sys, tol)) << "rel_tol=" << tol;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sections, LadderModalForm,
+                         ::testing::Range<std::size_t>(2, 14));
 
 TEST(ModalTruncation, KeepsDominantDynamics) {
   // A strong mode and a mode 1e9 times weaker: truncation must drop the
@@ -179,10 +321,11 @@ TEST(ModalTruncation, KeepsDominantDynamics) {
   const Complex weak(-500.0, 2.0 * std::numbers::pi * 2e4);
   CMat r_strong(1, 1, Complex(1e4, 2e3));
   CMat r_weak(1, 1, Complex(1e-5, 1e-6));
-  const ss::DescriptorSystem sys = ss::from_pole_residues(
-      {strong, std::conj(strong), weak, std::conj(weak)},
-      {r_strong, r_strong.conjugate(), r_weak, r_weak.conjugate()},
-      Mat{{0.25}});
+  ss::PoleResidueModel modes;
+  modes.poles = {strong, std::conj(strong), weak, std::conj(weak)};
+  modes.residues = {r_strong, r_strong.conjugate(), r_weak, r_weak.conjugate()};
+  modes.d = Mat{{0.25}};
+  const ss::DescriptorSystem sys = modes.to_state_space();
   EXPECT_EQ(sys.order(), 4u);
   const ss::DescriptorSystem small = ss::modal_truncation(sys, 1e-6);
   EXPECT_EQ(small.order(), 2u);

@@ -14,6 +14,7 @@
 #include "vf/vector_fitting.hpp"
 
 namespace la = mfti::la;
+namespace metrics = mfti::metrics;
 namespace ss = mfti::ss;
 namespace sp = mfti::sampling;
 namespace vf = mfti::vf;
@@ -24,8 +25,8 @@ using la::Mat;
 namespace {
 
 // A known pole-residue ground truth.
-vf::PoleResidueModel known_model() {
-  vf::PoleResidueModel m;
+ss::PoleResidueModel known_model() {
+  ss::PoleResidueModel m;
   const Complex a1(-100.0, 2.0 * std::numbers::pi * 1e3);
   const Complex a2(-2000.0, 2.0 * std::numbers::pi * 2e4);
   m.poles = {a1, std::conj(a1), a2, std::conj(a2), Complex(-500.0, 0.0)};
@@ -38,7 +39,7 @@ vf::PoleResidueModel known_model() {
   return m;
 }
 
-sp::SampleSet sample_model(const vf::PoleResidueModel& m, std::size_t k) {
+sp::SampleSet sample_model(const ss::PoleResidueModel& m, std::size_t k) {
   std::vector<sp::FrequencySample> raw;
   for (double f : sp::log_grid(10.0, 1e5, k)) {
     raw.push_back(
@@ -50,7 +51,7 @@ sp::SampleSet sample_model(const vf::PoleResidueModel& m, std::size_t k) {
 }  // namespace
 
 TEST(PoleResidueModel, EvaluateIsConjugateSymmetric) {
-  const vf::PoleResidueModel m = known_model();
+  const ss::PoleResidueModel m = known_model();
   const Complex s(0.0, 1234.0);
   const CMat hp = m.evaluate(s);
   const CMat hm = m.evaluate(std::conj(s));
@@ -58,7 +59,7 @@ TEST(PoleResidueModel, EvaluateIsConjugateSymmetric) {
 }
 
 TEST(PoleResidueModel, StateSpaceRealizationMatchesEvaluate) {
-  const vf::PoleResidueModel m = known_model();
+  const ss::PoleResidueModel m = known_model();
   const ss::DescriptorSystem sys = m.to_state_space();
   EXPECT_EQ(sys.order(), m.poles.size() * 2);  // n poles * m inputs
   for (double f : {50.0, 1e3, 7e4}) {
@@ -69,18 +70,18 @@ TEST(PoleResidueModel, StateSpaceRealizationMatchesEvaluate) {
 }
 
 TEST(VectorFit, RecoversRationalDataAtExactOrder) {
-  const vf::PoleResidueModel truth = known_model();
+  const ss::PoleResidueModel truth = known_model();
   const sp::SampleSet data = sample_model(truth, 40);
   vf::VectorFittingOptions opts;
   opts.num_poles = 5;
   opts.iterations = 10;
   const vf::VectorFittingResult fit = vf::vector_fit(data, opts);
   EXPECT_TRUE(fit.sigma_identifiable);
-  EXPECT_LT(vf::model_error(fit.model, data), 1e-6);
+  EXPECT_LT(metrics::model_error(fit.model, data), 1e-6);
 }
 
 TEST(VectorFit, RelocatedPolesMatchTruth) {
-  const vf::PoleResidueModel truth = known_model();
+  const ss::PoleResidueModel truth = known_model();
   const sp::SampleSet data = sample_model(truth, 60);
   vf::VectorFittingOptions opts;
   opts.num_poles = 5;
@@ -97,13 +98,13 @@ TEST(VectorFit, RelocatedPolesMatchTruth) {
 }
 
 TEST(VectorFit, OverOrderStillFits) {
-  const vf::PoleResidueModel truth = known_model();
+  const ss::PoleResidueModel truth = known_model();
   const sp::SampleSet data = sample_model(truth, 50);
   vf::VectorFittingOptions opts;
   opts.num_poles = 12;  // more than the true 5
   opts.iterations = 8;
   const vf::VectorFittingResult fit = vf::vector_fit(data, opts);
-  EXPECT_LT(vf::model_error(fit.model, data), 1e-5);
+  EXPECT_LT(metrics::model_error(fit.model, data), 1e-5);
 }
 
 TEST(VectorFit, FitsStateSpaceSampledData) {
@@ -120,11 +121,11 @@ TEST(VectorFit, FitsStateSpaceSampledData) {
   opts.num_poles = 10;
   opts.iterations = 10;
   const vf::VectorFittingResult fit = vf::vector_fit(data, opts);
-  EXPECT_LT(vf::model_error(fit.model, data), 1e-4);
+  EXPECT_LT(metrics::model_error(fit.model, data), 1e-4);
 }
 
 TEST(VectorFit, EnforcesStability) {
-  const vf::PoleResidueModel truth = known_model();
+  const ss::PoleResidueModel truth = known_model();
   const sp::SampleSet data = sample_model(truth, 30);
   vf::VectorFittingOptions opts;
   opts.num_poles = 7;
@@ -135,7 +136,7 @@ TEST(VectorFit, EnforcesStability) {
 
 TEST(VectorFit, DegenerateOrderFlaggedAndSurvives) {
   // More poles than data equations: 2k <= n+1.
-  const vf::PoleResidueModel truth = known_model();
+  const ss::PoleResidueModel truth = known_model();
   const sp::SampleSet data = sample_model(truth, 10);  // 20 real equations
   vf::VectorFittingOptions opts;
   opts.num_poles = 24;
@@ -148,7 +149,7 @@ TEST(VectorFit, DegenerateOrderFlaggedAndSurvives) {
 }
 
 TEST(VectorFit, OddPoleCountUsesARealPole) {
-  const vf::PoleResidueModel truth = known_model();
+  const ss::PoleResidueModel truth = known_model();
   const sp::SampleSet data = sample_model(truth, 30);
   vf::VectorFittingOptions opts;
   opts.num_poles = 5;
@@ -162,18 +163,18 @@ TEST(VectorFit, OddPoleCountUsesARealPole) {
 }
 
 TEST(VectorFit, RelaxedVariantRecoversRationalData) {
-  const vf::PoleResidueModel truth = known_model();
+  const ss::PoleResidueModel truth = known_model();
   const sp::SampleSet data = sample_model(truth, 40);
   vf::VectorFittingOptions opts;
   opts.num_poles = 5;
   opts.iterations = 10;
   opts.relaxed = true;
   const vf::VectorFittingResult fit = vf::vector_fit(data, opts);
-  EXPECT_LT(vf::model_error(fit.model, data), 1e-6);
+  EXPECT_LT(metrics::model_error(fit.model, data), 1e-6);
 }
 
 TEST(VectorFit, RelaxedMatchesClassicPoleEstimates) {
-  const vf::PoleResidueModel truth = known_model();
+  const ss::PoleResidueModel truth = known_model();
   const sp::SampleSet data = sample_model(truth, 50);
   vf::VectorFittingOptions classic;
   classic.num_poles = 5;
@@ -197,7 +198,7 @@ TEST(VectorFit, RelaxedMatchesClassicPoleEstimates) {
 TEST(VectorFit, RelaxedConvergesFromPoorInitialPoles) {
   // Start with poles bunched at the band edge: relaxed sigma is the
   // standard remedy for slow relocation in this regime.
-  const vf::PoleResidueModel truth = known_model();
+  const ss::PoleResidueModel truth = known_model();
   const sp::SampleSet data = sample_model(truth, 50);
   vf::VectorFittingOptions opts;
   opts.num_poles = 7;
@@ -205,16 +206,16 @@ TEST(VectorFit, RelaxedConvergesFromPoorInitialPoles) {
   opts.initial_real_ratio = 1.0;  // heavily damped, poor start
   opts.relaxed = true;
   const vf::VectorFittingResult fit = vf::vector_fit(data, opts);
-  EXPECT_LT(vf::model_error(fit.model, data), 1e-4);
+  EXPECT_LT(metrics::model_error(fit.model, data), 1e-4);
 }
 
 TEST(VectorFit, InvalidArgumentsThrow) {
-  const vf::PoleResidueModel truth = known_model();
+  const ss::PoleResidueModel truth = known_model();
   const sp::SampleSet data = sample_model(truth, 10);
   vf::VectorFittingOptions opts;
   opts.num_poles = 0;
   EXPECT_THROW(vf::vector_fit(data, opts), std::invalid_argument);
   EXPECT_THROW(vf::vector_fit(data.prefix(1), {}), std::invalid_argument);
-  EXPECT_THROW(vf::model_error(truth, sp::SampleSet()),
+  EXPECT_THROW(metrics::model_error(truth, sp::SampleSet()),
                std::invalid_argument);
 }
